@@ -1,9 +1,16 @@
 """Classical K-means: D^2-weighted seeding, Lloyd iterations, repair rules.
 
 All tie-breaks are deterministic (lowest index wins) so that a fixed
-seed reproduces runs bit for bit. Squared distances are computed from
-exact differences in float64, block by block, to bound peak memory on
-large inputs.
+seed reproduces runs bit for bit. ``squared_distances`` is the one exact
+definition of distance: differences taken in float64 and squared, block
+by block to bound peak memory. Nearest-center labels are found in two
+passes. A screen ranks the centers per point by ``|c|^2 - 2 x.c`` from
+one matrix product, which never forms the (N, K, dim) differences.
+Rows whose best and second-best centers lie within the screen's
+rounding bound of each other, and rows that could overflow, are
+recomputed with ``squared_distances``. So every label is the first
+minimum of the exact distances, the same bits the exact path alone
+gives.
 """
 
 from __future__ import annotations
@@ -13,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK_ELEMS = 2**24  # ~128 MiB of float64 scratch per distance block
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max / 4
 
 
 @dataclass
@@ -47,6 +57,41 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Bit for bit ``np.argmin(squared_distances(points, centers), axis=1)``,
+    without the (N, K, dim) differences for rows the screen settles."""
+    dim = points.shape[1]
+    cc = np.einsum("kd,kd->k", centers, centers)
+    # s[i, j] = |c_j|^2 - 2 x_i.c_j = |x_i - c_j|^2 - |x_i|^2, rounded.
+    # Scaling by -2 is exact.
+    s = points @ (-2.0 * centers).T
+    s += cc
+    labels = np.argmin(s, axis=1)
+    # With u = eps/2 and scale = |x|^2 + max_j |c_j|^2, in any summation
+    # order: s_ij is within (2 gamma_d + 2u) * scale ~ (d+1) eps * scale
+    # of its exact value (the gamma_d dot-product error, as |2 x.c| <=
+    # scale), and the exact path's own rounding of |x - c_j|^2 <= 2 scale
+    # is at most 2 gamma_{d+2} * scale ~ (d+2) eps * scale. tau is about
+    # twice their sum; the tiny term covers gradual underflow. If every
+    # other s_ij exceeds the row's smallest by more than 2 tau, the exact
+    # distances keep the same center strictly first.
+    scale = np.einsum("nd,nd->n", points, points) + cc.max()
+    tau = 4 * (dim + 4) * _EPS * scale + _TINY
+    best = np.take_along_axis(s, labels[:, None], axis=1)[:, 0]
+    # ~(s > bound) rather than s <= bound: a NaN, which argmin picks and
+    # passes on to the bound, makes every center of its row close.
+    close = ~(s > (best + 2.0 * tau)[:, None])
+    # Past _HUGE either pass may overflow (|x - c|^2 <= 2 scale).
+    ambiguous = np.flatnonzero(
+        (np.count_nonzero(close, axis=1) > 1) | ~(scale < _HUGE)
+    )
+    if ambiguous.size:
+        labels[ambiguous] = np.argmin(
+            squared_distances(points[ambiguous], centers), axis=1
+        )
+    return labels
+
+
 def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center per point; ties go to the lowest index."""
     points = _check_points(points)
@@ -56,8 +101,7 @@ def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
             f"dimension mismatch: points are {points.shape[1]}-d, "
             f"centers are {centers.shape[1]}-d"
         )
-    # argmin returns the first minimum, which is exactly the tie rule.
-    return np.argmin(squared_distances(points, centers), axis=1)
+    return _nearest(points, centers)
 
 
 def kmeans_plus_plus_init(
@@ -88,28 +132,35 @@ def kmeans_plus_plus_init(
     return points[chosen].copy()
 
 
-def _repair_empty(
-    points: np.ndarray, labels: np.ndarray, centers: np.ndarray, d2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Give each empty cluster the point farthest from its current center.
+def _assign_repaired(
+    points: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-center labels with every empty cluster given the point
+    farthest from its current center.
 
-    Clusters are repaired in ascending index order; among equally far
-    points the lowest index wins. Donor points are removed from the pool
+    Returns (labels, centers, counts per cluster). Clusters are repaired
+    in ascending index order; among equally far points the lowest index
+    wins. A point alone in its cluster is never taken, so no repair
+    empties another cluster, and donor points are removed from the pool
     so two empty clusters never grab the same point.
     """
     k = centers.shape[0]
+    labels = _nearest(points, centers)
     counts = np.bincount(labels, minlength=k)
-    if (counts > 0).all():
-        return labels, centers
-    labels = labels.copy()
+    if counts.all():
+        return labels, centers, counts
+    d2 = squared_distances(points, centers)
+    own_d2 = d2[np.arange(points.shape[0]), labels]
     centers = centers.copy()
-    own_d2 = d2[np.arange(points.shape[0]), labels].copy()
     for cluster in np.flatnonzero(counts == 0):
-        donor = int(np.argmax(own_d2))  # first max = lowest index on ties
+        # first max = lowest index on ties
+        donor = int(np.argmax(np.where(counts[labels] > 1, own_d2, -np.inf)))
+        counts[labels[donor]] -= 1
+        counts[cluster] += 1
         centers[cluster] = points[donor]
         labels[donor] = cluster
         own_d2[donor] = -np.inf
-    return labels, centers
+    return labels, centers, counts
 
 
 def lloyd_step(
@@ -124,17 +175,17 @@ def lloyd_step(
     """
     points = _check_points(points)
     centers = _check_points(centers, "centers")
-    d2 = squared_distances(points, centers)
-    labels = np.argmin(d2, axis=1)
-    labels, centers = _repair_empty(points, labels, centers, d2)
+    labels, centers, counts = _assign_repaired(points, centers)
     diff = points - centers[labels]
     objective = float(np.einsum("nd,nd->", diff, diff))
-    k = centers.shape[0]
-    new_centers = np.zeros_like(centers)
-    np.add.at(new_centers, labels, points)
-    counts = np.bincount(labels, minlength=k)
-    new_centers /= counts[:, None]
-    return new_centers, labels, objective
+    # bincount adds each cluster's rows in index order, from 0.0, so the
+    # sums are the bits that np.add.at gives.
+    sums = np.stack(
+        [np.bincount(labels, weights=points[:, a], minlength=centers.shape[0])
+         for a in range(points.shape[1])],
+        axis=1,
+    )
+    return sums / counts[:, None], labels, objective
 
 
 def kmeans(
@@ -171,9 +222,7 @@ def kmeans(
         if shift < tol:
             converged = True
             break
-    d2 = squared_distances(points, centers)
-    labels = np.argmin(d2, axis=1)
-    labels, centers = _repair_empty(points, labels, centers, d2)
+    labels, centers, _ = _assign_repaired(points, centers)
     diff = points - centers[labels]
     objective = float(np.einsum("nd,nd->", diff, diff))
     return KMeansResult(

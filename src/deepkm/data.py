@@ -132,6 +132,15 @@ def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
         height = width = side
     if height * width != m:
         raise ValueError(f"height*width = {height * width} does not match feature dim {m}")
+    if labels_path is not None:
+        if dataset.labels is None:
+            raise ValueError("dataset has no labels to write")
+        if dataset.labels.max() > 255:
+            row = int(np.argmax(dataset.labels > 255))
+            raise ValueError(
+                f"IDX labels are single bytes; label {int(dataset.labels[row])} "
+                f"at row {row} exceeds 255"
+            )
     pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(IDX_IMAGES_MAGIC.to_bytes(4, "big"))
@@ -139,8 +148,6 @@ def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
             fh.write(int(d).to_bytes(4, "big"))
         fh.write(pixels.tobytes())
     if labels_path is not None:
-        if dataset.labels is None:
-            raise ValueError("dataset has no labels to write")
         with open(labels_path, "wb") as fh:
             fh.write(IDX_LABELS_MAGIC.to_bytes(4, "big"))
             fh.write(int(n).to_bytes(4, "big"))

@@ -27,12 +27,13 @@ each other bit for bit.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .clustering import assign, kmeans
+from .clustering import KMeansResult, assign, kmeans
 from .data import Dataset
 from .losses import CombinedResult, LossConfig, combined_objective, reconstruction_loss
 from .metrics import MetricsReport, evaluate
@@ -233,6 +234,17 @@ class _ArrayAdam:
         return array - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _warn_unconverged(result: KMeansResult, method: str, when: str) -> None:
+    """Say so when a K-means fit stopped at max_iters short of converging."""
+    if not result.converged:
+        warnings.warn(
+            f"{method}: K-means {when} stopped at {result.iterations} "
+            "iterations without converging (raise kmeans_max_iters)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+
 def _finish(
     method: str,
     config: TrainConfig,
@@ -269,6 +281,7 @@ def run_baseline_km(dataset: Dataset, config: TrainConfig) -> RunReport:
         dataset.features, config.k, streams["kmeans0_rng"],
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
     )
+    _warn_unconverged(result, "km", "fit")
     labels = assign(dataset.features, result.centers)
     return _finish("km", config, started, dataset, labels, result.centers,
                    [], [], [], latents=dataset.features)
@@ -285,6 +298,7 @@ def run_baseline_aekm(dataset: Dataset, config: TrainConfig) -> RunReport:
         latents, config.k, streams["kmeans0_rng"],
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
     )
+    _warn_unconverged(result, "aekm", "fit")
     labels = assign(latents, result.centers)
     return _finish("aekm", config, started, dataset, labels, result.centers,
                    pre_losses, [], [], latents=latents)
@@ -321,6 +335,7 @@ def _finetune(
         latents, config.k, streams["kmeans0_rng"],
         max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
     )
+    _warn_unconverged(km0, method, "initial fit")
     centroids = km0.centers
     loss_cfg = LossConfig(variant=variant, lam=config.lam, alpha=config.alpha)
     opt = make_optimizer(config.optimizer, config.learning_rate)
@@ -360,11 +375,14 @@ def _finetune(
                 latents, config.k, np.random.default_rng(rein_seeds[epoch]),
                 max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
             )
+            _warn_unconverged(km, method, f"refit at epoch {epoch}")
             centroids = km.centers
             if variant == "dkm":
                 centroid_opt = _ArrayAdam(config.learning_rate, kind=config.optimizer)
 
-    latents = encode_blocks(params, dataset.features)
+    if config.finetune_epochs and not reinit:
+        # Otherwise no step has changed the parameters since the last encode.
+        latents = encode_blocks(params, dataset.features)
     labels = assign(latents, centroids)
     return _finish(
         method, config, started, dataset, labels, centroids,

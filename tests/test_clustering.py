@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import deepkm.clustering as clustering
 from deepkm.clustering import (
+    _nearest,
     assign,
     kmeans,
     kmeans_plus_plus_init,
@@ -10,6 +12,115 @@ from deepkm.clustering import (
 )
 
 from helpers import best_bipartition_objective, two_clump_points
+
+
+# References for the bit-identity tests: every (N, K) distance from
+# squared_distances, np.add.at centroid sums, the same repair rule.
+def ref_nearest(points, centers):
+    return np.argmin(squared_distances(points, centers), axis=1)
+
+
+def ref_lloyd_step(points, centers):
+    d2 = squared_distances(points, centers)
+    labels = np.argmin(d2, axis=1)
+    k = centers.shape[0]
+    counts = np.bincount(labels, minlength=k)
+    if not (counts > 0).all():
+        own_d2 = d2[np.arange(len(points)), labels]
+        centers = centers.copy()
+        for cluster in np.flatnonzero(counts == 0):
+            sizes = np.bincount(labels, minlength=k)  # a lone point is not taken
+            donor = int(np.argmax(np.where(sizes[labels] > 1, own_d2, -np.inf)))
+            centers[cluster] = points[donor]
+            labels[donor] = cluster
+            own_d2[donor] = -np.inf
+    diff = points - centers[labels]
+    objective = float(np.einsum("nd,nd->", diff, diff))
+    new_centers = np.zeros_like(centers)
+    np.add.at(new_centers, labels, points)
+    new_centers /= np.bincount(labels, minlength=k)[:, None]
+    return new_centers, labels, objective, centers
+
+
+def ref_kmeans(points, k, seed, max_iters=100, tol=1e-6):
+    centers = kmeans_plus_plus_init(points, k, seed)
+    iterations = 0
+    for _ in range(max_iters):
+        new_centers = ref_lloyd_step(points, centers)[0]
+        iterations += 1
+        shift = float(np.max(np.abs(new_centers - centers)))
+        centers = new_centers
+        if shift < tol:
+            break
+    _, labels, objective, centers = ref_lloyd_step(points, centers)
+    return centers, labels, objective, iterations
+
+
+def assert_same_step(points, centers):
+    got = lloyd_step(points, centers)
+    want = ref_lloyd_step(points, centers)
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+def _spread_points(rng):
+    return rng.standard_normal((300, 5)), rng.standard_normal((6, 5))
+
+
+def _tied_grid(rng):
+    # integer grid points against duplicated grid centers: exact ties
+    centers = rng.integers(-2, 3, size=(4, 3)).astype(float)
+    centers = np.vstack([centers, centers[:2], [[0.5, 0.5, 0.5]]])
+    return rng.integers(-3, 4, size=(400, 3)).astype(float), centers
+
+
+def _offset(rng):
+    return 1e6 + rng.standard_normal((300, 4)), 1e6 + rng.standard_normal((5, 4))
+
+
+def _near_bisector(rng, offset, scale):
+    # points within rounding of the plane halfway between centers 0 and 1
+    centers = offset + scale * rng.standard_normal((3, 4))
+    mid = (centers[0] + centers[1]) / 2
+    spread = scale * 10.0 ** rng.uniform(-9, 0, size=(300, 1))
+    return mid + spread * rng.standard_normal((300, 4)), centers
+
+
+def _near_ties_offset(rng):
+    return _near_bisector(rng, 1e6, 1.0)
+
+
+def _near_ties_subnormal(rng):
+    # squares and their rounding errors are subnormal
+    return _near_bisector(rng, 0.0, 1e-158)
+
+
+def _zeros(rng):
+    return np.zeros((50, 3)), np.zeros((4, 3))
+
+
+def _huge(rng):
+    # squares reach ~1e308: the screen overflows and must fall back
+    return 1e154 * rng.standard_normal((200, 6)), 1e154 * rng.standard_normal((5, 6))
+
+
+def _huge_finite_screen(rng):
+    # the screen stays finite, but every exact distance overflows to inf,
+    # so the exact path's first-minimum rule picks center 0
+    points = 1e154 * rng.uniform(1.2, 1.3, size=(100, 1))
+    return points, 1e154 * np.array([[-0.3], [-0.2]])
+
+
+def _tiny(rng):
+    # squares underflow into subnormals
+    return 1e-160 * rng.standard_normal((200, 6)), 1e-160 * rng.standard_normal((5, 6))
+
+
+SCREEN_CASES = [
+    _spread_points, _tied_grid, _offset, _near_ties_offset, _near_ties_subnormal,
+    _zeros, _huge, _huge_finite_screen, _tiny,
+]
 
 
 class TestAssign:
@@ -128,6 +239,16 @@ class TestLloydStep:
         )
         assert found == pytest.approx(best, abs=1e-9)
 
+    def test_repair_never_takes_a_clusters_only_point(self):
+        # nearest: [c2, c0, c2], so c1 is empty; the farthest point is the
+        # only member of c0 and must not be moved there
+        points = np.array([[2.0], [0.0], [2.0]])
+        centers = np.array([[1.0], [1.0], [2.0]])
+        new_centers, labels, _ = lloyd_step(points, centers)
+        assert labels.tolist() == [1, 0, 2]
+        np.testing.assert_array_equal(new_centers, [[0.0], [2.0], [2.0]])
+        assert kmeans(points, 3, 0, init_centers=centers).converged
+
     def test_empty_cluster_repaired_never_errors(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         centers = np.array([[0.3, 0.3], [99.0, 99.0]])  # second center owns nothing
@@ -228,3 +349,79 @@ class TestSolutionInvariants:
             np.sum((points - result.centers[result.labels]) ** 2)
         )
         assert result.objective == pytest.approx(recomputed, rel=1e-12)
+
+
+class TestExactScreen:
+    """The screened labelling gives the exact path's bits."""
+
+    @pytest.mark.parametrize("make", SCREEN_CASES, ids=lambda f: f.__name__.strip("_"))
+    def test_nearest_and_assign_match_exact_argmin(self, make):
+        for seed in range(5):
+            points, centers = make(np.random.default_rng(seed))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = ref_nearest(points, centers)
+                np.testing.assert_array_equal(_nearest(points, centers), want)
+                np.testing.assert_array_equal(assign(points, centers), want)
+
+    @pytest.mark.parametrize("make", SCREEN_CASES, ids=lambda f: f.__name__.strip("_"))
+    def test_lloyd_step_matches_add_at_reference(self, make):
+        points, centers = make(np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_step(points, centers)
+
+    def test_single_ambiguous_row_alone_takes_the_exact_path(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 9.0]])
+        points = centers[rng.integers(0, 3, 100)] + 0.1 * rng.standard_normal((100, 2))
+        points[37] = [1.0, 0.25]  # equidistant from centers 0 and 1
+        seen = []
+        real = clustering.squared_distances
+
+        def spy(p, c):
+            seen.append(p.copy())
+            return real(p, c)
+
+        monkeypatch.setattr(clustering, "squared_distances", spy)
+        labels = _nearest(points, centers)
+        monkeypatch.undo()
+        assert len(seen) == 1 and np.array_equal(seen[0], points[[37]])
+        assert labels[37] == 0
+        np.testing.assert_array_equal(labels, ref_nearest(points, centers))
+
+    def test_settled_rows_never_form_all_distances(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        centers = 10.0 * rng.standard_normal((4, 3))
+        points = centers[rng.integers(0, 4, 200)] + 0.1 * rng.standard_normal((200, 3))
+        points[:4] = centers  # every cluster keeps a member
+        want = ref_lloyd_step(points, centers)
+
+        def forbidden(p, c):
+            raise AssertionError("exact path used")
+
+        monkeypatch.setattr(clustering, "squared_distances", forbidden)
+        new_centers, labels, objective = lloyd_step(points, centers)
+        result = kmeans(points, 4, 0, init_centers=centers)
+        assign(points, centers)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(labels, want[1])
+        assert new_centers.tobytes() == want[0].tobytes() and objective == want[2]
+        assert result.converged
+
+    def test_empty_cluster_repair_matches_reference(self):
+        rng = np.random.default_rng(3)
+        points = rng.standard_normal((60, 2))
+        centers = np.array([[0.0, 0.0], [50.0, 50.0], [0.1, 0.0], [-60.0, 5.0]])
+        assert_same_step(points, centers)
+        assert set(lloyd_step(points, centers)[1].tolist()) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kmeans_matches_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        means = 3.0 * rng.standard_normal((5, 4))
+        points = means[rng.integers(0, 5, 500)] + rng.standard_normal((500, 4))
+        got = kmeans(points, 5, seed)
+        centers, labels, objective, iterations = ref_kmeans(points, 5, seed)
+        assert got.centers.tobytes() == centers.tobytes()
+        np.testing.assert_array_equal(got.labels, labels)
+        assert got.objective == objective
+        assert got.iterations == iterations

@@ -156,6 +156,13 @@ class TestSaveIdx:
         with pytest.raises(ValueError, match="no labels"):
             save_idx(Dataset(np.zeros((2, 4))), tmp_path / "a.idx", tmp_path / "b.idx")
 
+    def test_labels_above_a_byte_rejected_before_writing(self, tmp_path):
+        ds = Dataset(np.full((2, 4), 0.5), labels=np.array([7, 300]))
+        with pytest.raises(ValueError, match="label 300 at row 1"):
+            save_idx(ds, tmp_path / "a.idx", tmp_path / "b.idx")
+        assert not (tmp_path / "a.idx").exists()
+        assert not (tmp_path / "b.idx").exists()
+
 
 class TestLoadDelimited:
     def test_plain_table(self, tmp_path):

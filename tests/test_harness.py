@@ -1,10 +1,13 @@
 """Training-loop behavior: seeding, centroid schedules, aggregation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import deepkm.harness as harness
+from deepkm.clustering import assign
 from deepkm.data import Dataset, make_blobs
 from deepkm.harness import (
     METHODS,
@@ -131,6 +134,40 @@ class TestRunReports:
     def test_latents_never_serialized(self, small_blobs):
         report = run_ours(small_blobs, tiny_config(finetune_epochs=1))
         assert "latents" not in report.to_json_dict()
+
+    @pytest.mark.parametrize("method,encodes", [("ours", 4), ("dkm_rein", 4), ("ours_norein", 2)])
+    def test_final_encode_only_when_parameters_changed(self, small_blobs, monkeypatch,
+                                                       method, encodes):
+        # 3 finetune epochs: refitting methods encode once up front and once
+        # per epoch, and their last encode already holds the final latents
+        calls = []
+        real = harness.encode_blocks
+
+        def counting(params, features):
+            calls.append(features.shape[0])
+            return real(params, features)
+
+        monkeypatch.setattr(harness, "encode_blocks", counting)
+        report = run_method(small_blobs, tiny_config(method=method))
+        assert calls == [small_blobs.n] * encodes
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            report.assignment, assign(report.latents, report.centroids)
+        )
+
+    def test_unconverged_kmeans_warns(self, small_blobs):
+        cfg = tiny_config(kmeans_max_iters=1, kmeans_tol=0.0)
+        with pytest.warns(RuntimeWarning) as record:
+            run_ours(small_blobs, cfg)
+        messages = [str(w.message) for w in record]
+        assert any("ours: K-means initial fit stopped at 1 iterations" in m for m in messages)
+        assert any("ours: K-means refit at epoch 2 stopped at 1 iterations" in m
+                   for m in messages)
+
+    def test_converged_kmeans_is_silent(self, small_blobs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_ours(small_blobs, tiny_config())
 
 
 class TestCentroidSchedules:
