@@ -39,7 +39,6 @@ from .losses import CombinedResult, LossConfig, combined_objective, reconstructi
 from .metrics import MetricsReport, evaluate
 from .nn import (
     AutoencoderParams,
-    OptimizerState,
     backward,
     encode_blocks,
     forward,
@@ -47,6 +46,7 @@ from .nn import (
     make_optimizer,
     mirrored_spec,
     optimizer_step,
+    step_array,
 )
 
 METHODS = ("km", "aekm", "dcn", "dkm", "dkm_rein", "ours", "ours_norein")
@@ -205,35 +205,6 @@ def pretrain(dataset: Dataset, config: TrainConfig,
     return params
 
 
-@dataclass
-class _ArrayAdam:
-    """Adam on one raw array (the centroid matrix in the dkm variant)."""
-
-    learning_rate: float
-    kind: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-    def step(self, array: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if not np.isfinite(grad).all():
-            raise FloatingPointError("non-finite centroid gradient")
-        if self.kind == "sgd":
-            return array - self.learning_rate * grad
-        if self.m is None:
-            self.m = np.zeros_like(array)
-            self.v = np.zeros_like(array)
-        self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return array - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
 def _warn_unconverged(result: KMeansResult, method: str, when: str) -> None:
     """Say so when a K-means fit stopped at max_iters short of converging."""
     if not result.converged:
@@ -339,7 +310,7 @@ def _finetune(
     centroids = km0.centers
     loss_cfg = LossConfig(variant=variant, lam=config.lam, alpha=config.alpha)
     opt = make_optimizer(config.optimizer, config.learning_rate)
-    centroid_opt = _ArrayAdam(config.learning_rate, kind=config.optimizer)
+    centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
     counts = np.bincount(km0.labels, minlength=config.k).astype(np.float64)
     rein_seeds = streams["rein_seeds"].spawn(config.finetune_epochs) if reinit else []
     tune_rng = streams["finetune_rng"]
@@ -357,7 +328,8 @@ def _finetune(
                 )
             params, opt = optimizer_step(params, out.param_grads, opt)
             if variant == "dkm":
-                centroids = centroid_opt.step(centroids, out.centroid_grads)
+                # In place: nothing else holds this refit's centre array.
+                step_array(centroids, out.centroid_grads, centroid_opt, "centroids")
             elif variant == "dcn":
                 centroids = _dcn_center_update(
                     params, batch, out.assignment, centroids, counts
@@ -378,7 +350,7 @@ def _finetune(
             _warn_unconverged(km, method, f"refit at epoch {epoch}")
             centroids = km.centers
             if variant == "dkm":
-                centroid_opt = _ArrayAdam(config.learning_rate, kind=config.optimizer)
+                centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
 
     if config.finetune_epochs and not reinit:
         # Otherwise no step has changed the parameters since the last encode.

@@ -5,16 +5,36 @@ activation so ``backward`` can return exact parameter gradients for any
 scalar objective, given upstream gradients on the reconstruction and,
 optionally, on the latent code. The latent hook is what lets a
 clustering loss pull on the embedding without a general autodiff graph.
+
+Memory layout: every weight and bias of an ``AutoencoderParams`` is a
+view into one contiguous float64 vector, ``params.flat``, in the order of
+``iter_param_arrays`` (encoder layers, then decoder layers, each weight
+before its bias). ``backward`` writes each gradient into a view of one
+freshly allocated vector with the same layout, ``Gradients.flat``. So
+``optimizer_step`` updates the whole net with one SGD or Adam kernel,
+``_update``: in-place ufuncs over the two flat vectors, walked in blocks
+of ``_BLOCK`` elements so that the slices and two block-sized scratch
+buffers stay in cache. Each element goes through the same operations in
+the same order as the textbook per-tensor formulas, so the bits do not
+depend on the layout or the block size. Gradient lists built or edited
+by hand are gathered into one vector first; ``step_array`` runs the same
+kernel on any other array (the dkm centroids).
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 ACTIVATIONS = ("relu", "linear")
+
+# Elements per block of the optimizer kernel: four 256 KB slices and two
+# scratch buffers of this size fit in a core's L2 cache.
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -65,12 +85,50 @@ class Layer:
     activation: str
 
 
+def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the 1-d ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _same_objects(arrays: Sequence[np.ndarray], views: Sequence[np.ndarray]) -> bool:
+    return len(arrays) == len(views) and all(map(operator.is_, arrays, views))
+
+
 @dataclass
 class AutoencoderParams:
-    """Encoder/decoder weight stacks. The bottleneck is the latent space."""
+    """Encoder/decoder weight stacks. The bottleneck is the latent space.
+
+    On construction the given weights and biases are copied into one new
+    vector, ``flat``, and every layer is pointed at its views of it.
+    """
 
     encoder: list[Layer]
     decoder: list[Layer]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._pack()
+
+    def _pack(self) -> None:
+        layers = self.encoder + self.decoder
+        arrays = [np.asarray(a, dtype=np.float64) for l in layers for a in (l.weight, l.bias)]
+        self.flat = np.empty(sum(a.size for a in arrays))
+        self._views = _views(self.flat, [a.shape for a in arrays])
+        for view, a in zip(self._views, arrays):
+            view[...] = a
+        for layer, w, b in zip(layers, self._views[::2], self._views[1::2]):
+            layer.weight, layer.bias = w, b
+
+    def packed_flat(self) -> np.ndarray:
+        """``flat``, packed again first if a layer's array was replaced."""
+        if not _same_objects(_param_tensors(self), self._views):
+            self._pack()
+        return self.flat
 
     @property
     def input_dim(self) -> int:
@@ -81,24 +139,39 @@ class AutoencoderParams:
         return self.encoder[-1].weight.shape[1]
 
     def copy(self) -> "AutoencoderParams":
+        """Independent params: one new vector holding a copy of every tensor."""
         return AutoencoderParams(
-            encoder=[Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.encoder],
-            decoder=[Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.decoder],
+            encoder=[Layer(l.weight, l.bias, l.activation) for l in self.encoder],
+            decoder=[Layer(l.weight, l.bias, l.activation) for l in self.decoder],
         )
 
     def all_finite(self) -> bool:
-        return all(
-            np.isfinite(l.weight).all() and np.isfinite(l.bias).all()
-            for l in self.encoder + self.decoder
-        )
+        return bool(np.isfinite(self.packed_flat()).all())
 
 
 @dataclass
 class Gradients:
-    """Per-layer (d_weight, d_bias) pairs, shape-congruent with the params."""
+    """Per-layer (d_weight, d_bias) pairs, shape-congruent with the params.
+
+    ``backward`` passes ``flat``, the one vector that all its tensors are
+    views of, laid out as ``AutoencoderParams.flat``. Without it, or once
+    an entry has been replaced, ``optimizer_step`` gathers the tensors
+    into a new vector.
+    """
 
     encoder: list[tuple[np.ndarray, np.ndarray]]
     decoder: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._views = [] if self.flat is None else _grad_tensors(self)
+
+    def packed_flat(self) -> np.ndarray:
+        """``flat`` while every tensor is still its view, else a gathered copy."""
+        arrays = _grad_tensors(self)
+        if self.flat is not None and _same_objects(arrays, self._views):
+            return self.flat
+        return np.concatenate([np.asarray(g, dtype=np.float64).ravel() for g in arrays])
 
 
 def _validate_chain(spec: Sequence[LayerSpec], what: str) -> None:
@@ -226,18 +299,26 @@ def _layers_backward(
     inputs: Sequence[np.ndarray],
     pres: Sequence[np.ndarray],
     upstream: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)  # type: ignore[list-item]
+    out: Sequence[np.ndarray],
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Backpropagate ``upstream`` through ``layers``, writing layer i's
+    weight and bias gradients into ``out[2i]`` and ``out[2i + 1]``.
+
+    Returns the gradient on the first layer's input; with ``input_grad``
+    false that product is skipped and None is returned.
+    """
     g = upstream
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         if layer.activation == "relu":
             g = g * (pres[i] > 0.0)
-        dw = inputs[i].T @ g
-        db = g.sum(axis=0)
-        grads[i] = (dw, db)
+        np.matmul(inputs[i].T, g, out=out[2 * i])
+        g.sum(axis=0, out=out[2 * i + 1])
+        if i == 0 and not input_grad:
+            return None
         g = g @ layer.weight.T
-    return grads, g
+    return g
 
 
 def backward(
@@ -251,6 +332,8 @@ def backward(
     ``grad_reconstruction`` is dLoss/dReconstruction; ``grad_latent``, if
     given, is an extra dLoss/dLatent term added where the decoder's
     backward pass reaches the bottleneck (clustering losses use this).
+    The gradients are views of one new vector laid out like
+    ``params.flat``; the input gradient of encoder layer 0 is never formed.
     """
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward requires the ForwardCache of a prior forward() call")
@@ -262,8 +345,13 @@ def backward(
             f"grad_reconstruction shape {grad_reconstruction.shape} does not match "
             f"reconstruction {cache.reconstruction.shape}"
         )
-    dec_grads, g_latent = _layers_backward(
-        params.decoder, cache.decoder_inputs, cache.decoder_pre, grad_reconstruction
+    shapes = [p.shape for p in _param_tensors(params)]
+    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    views = _views(flat, shapes)
+    split = 2 * len(params.encoder)
+    g_latent = _layers_backward(
+        params.decoder, cache.decoder_inputs, cache.decoder_pre, grad_reconstruction,
+        views[split:],
     )
     if grad_latent is not None:
         grad_latent = np.asarray(grad_latent, dtype=np.float64)
@@ -272,10 +360,20 @@ def backward(
                 f"grad_latent shape {grad_latent.shape} does not match latent {cache.latent.shape}"
             )
         g_latent = g_latent + grad_latent
-    enc_grads, _ = _layers_backward(
-        params.encoder, cache.encoder_inputs, cache.encoder_pre, g_latent
+    _layers_backward(
+        params.encoder, cache.encoder_inputs, cache.encoder_pre, g_latent,
+        views[:split], input_grad=False,
     )
-    return Gradients(encoder=enc_grads, decoder=dec_grads)
+    pairs = list(zip(views[::2], views[1::2]))
+    return Gradients(encoder=pairs[: len(params.encoder)], decoder=pairs[len(params.encoder) :], flat=flat)
+
+
+def _param_tensors(params: AutoencoderParams) -> list[np.ndarray]:
+    return [a for layer in params.encoder + params.decoder for a in (layer.weight, layer.bias)]
+
+
+def _grad_tensors(grads: Gradients) -> list[np.ndarray]:
+    return [a for pair in grads.encoder + grads.decoder for a in pair]
 
 
 def iter_param_arrays(params: AutoencoderParams) -> Iterator[tuple[str, np.ndarray]]:
@@ -296,7 +394,8 @@ def iter_grad_arrays(grads: Gradients) -> Iterator[tuple[str, np.ndarray]]:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; Adam keeps bias-corrected moment buffers."""
+    """SGD or Adam state; Adam keeps its two moment vectors, laid out as
+    the flat parameters (or the array) it updates."""
 
     kind: str
     learning_rate: float
@@ -304,8 +403,8 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def make_optimizer(
@@ -317,9 +416,67 @@ def make_optimizer(
 ) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    if learning_rate <= 0:
+    if not learning_rate > 0:
         raise ValueError("learning_rate must be positive")
+    # beta = 1 would make Adam's bias correction 1 - beta**t zero.
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     return OptimizerState(kind=kind, learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+
+
+def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
+    """One SGD or Adam step on the 1-d float64 vector ``p``, in place.
+
+    Every element goes through the operations of the per-tensor formulas,
+    in their order:
+
+        SGD:  p -= lr * g
+        Adam: m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+              p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+
+    as in-place ufuncs over ``_BLOCK``-element slices, with two scratch
+    buffers of that size; so the result does not depend on the block size.
+    """
+    adam = state.kind == "adam"
+    if adam:
+        if state.m is None:
+            state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        if state.m.shape != p.shape or state.v.shape != p.shape:
+            raise ValueError(
+                f"optimizer moments of shapes {state.m.shape} and {state.v.shape} "
+                f"do not match the {p.size} values being updated"
+            )
+    state.step_count += 1
+    t, lr, eps = state.step_count, state.learning_rate, state.eps
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    scratch_a, scratch_b = np.empty((2, min(p.size, _BLOCK)))
+    for start in range(0, p.size, _BLOCK):
+        pb, gb = p[start : start + _BLOCK], g[start : start + _BLOCK]
+        a = scratch_a[: pb.size]
+        if not adam:
+            np.multiply(gb, lr, out=a)
+            np.subtract(pb, a, out=pb)
+            continue
+        mb, vb = state.m[start : start + _BLOCK], state.v[start : start + _BLOCK]
+        b = scratch_b[: pb.size]
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1.0 - b1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, 1.0 - b2, out=a)
+        np.multiply(a, gb, out=a)
+        np.add(vb, a, out=vb)
+        np.divide(mb, c1, out=a)
+        np.divide(vb, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.multiply(a, lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(pb, a, out=pb)
 
 
 def optimizer_step(
@@ -327,34 +484,35 @@ def optimizer_step(
     grads: Gradients,
     state: OptimizerState,
 ) -> tuple[AutoencoderParams, OptimizerState]:
-    """Apply one in-place update. SGD: p -= lr*g; Adam: bias-corrected moments."""
-    named_params = list(iter_param_arrays(params))
-    named_grads = list(iter_grad_arrays(grads))
-    if len(named_params) != len(named_grads):
+    """Apply one in-place update. SGD: p -= lr*g; Adam: bias-corrected moments.
+
+    Every gradient's shape and finiteness is checked before any
+    parameter moves; then one ``_update`` runs over ``params.flat``.
+    """
+    p_arrays, g_arrays = _param_tensors(params), _grad_tensors(grads)
+    if len(p_arrays) != len(g_arrays):
         raise ValueError("gradients do not match parameter structure")
-    for (name, p), (_, g) in zip(named_params, named_grads):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: {p.shape} vs {g.shape}")
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in {name}")
-
-    lr = state.learning_rate
-    if state.kind == "sgd":
-        for (_, p), (_, g) in zip(named_params, named_grads):
-            p -= lr * g
-        state.step_count += 1
-        return params, state
-
-    if not state.m:
-        state.m = [np.zeros_like(p) for _, p in named_params]
-        state.v = [np.zeros_like(p) for _, p in named_params]
-    state.step_count += 1
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    for i, ((_, p), (_, g)) in enumerate(zip(named_params, named_grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if any(p.shape != g.shape for p, g in zip(p_arrays, g_arrays)):
+        for (name, p), g in zip(iter_param_arrays(params), g_arrays):
+            if p.shape != g.shape:
+                raise ValueError(f"gradient shape mismatch for {name}: {p.shape} vs {g.shape}")
+    flat_grad = grads.packed_flat()
+    if not np.isfinite(flat_grad).all():
+        for name, g in iter_grad_arrays(grads):
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient in {name}")
+    _update(params.packed_flat(), flat_grad, state)
     return params, state
+
+
+def step_array(array: np.ndarray, grad: np.ndarray, state: OptimizerState, name: str = "array") -> None:
+    """One in-place SGD or Adam step on a C-contiguous float64 ``array``
+    (the dkm centroids), with the kernel of ``optimizer_step``."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != array.shape:
+        raise ValueError(f"gradient shape mismatch for {name}: {array.shape} vs {grad.shape}")
+    if array.dtype != np.float64 or not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous float64 array to be updated in place")
+    if not np.isfinite(grad).all():
+        raise FloatingPointError(f"non-finite gradient in {name}")
+    _update(array.reshape(-1), grad.ravel(), state)

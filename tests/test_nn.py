@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deepkm import nn
 from deepkm.nn import (
     AutoencoderParams,
     Gradients,
@@ -16,6 +21,7 @@ from deepkm.nn import (
     make_optimizer,
     mirrored_spec,
     optimizer_step,
+    step_array,
 )
 from deepkm.losses import reconstruction_loss
 
@@ -295,3 +301,216 @@ class TestGradientExactnessSweep:
             for name, arr in iter_param_arrays(params):
                 numeric = num_grad_inplace(loss, arr)
                 assert grads_close(analytic[name], numeric), (trial, name)
+
+
+def reference_step(param_arrays, grad_arrays, state, ref):
+    """The per-tensor SGD/Adam loop that the flat kernel replaced, verbatim
+    but for its state: ``ref`` holds ``m``, ``v`` lists and ``t``."""
+    lr = state.learning_rate
+    if state.kind == "sgd":
+        for p, g in zip(param_arrays, grad_arrays):
+            p -= lr * g
+        return
+    if not ref["m"]:
+        ref["m"] = [np.zeros_like(p) for p in param_arrays]
+        ref["v"] = [np.zeros_like(p) for p in param_arrays]
+    ref["t"] += 1
+    t = ref["t"]
+    b1, b2 = state.beta1, state.beta2
+    for i, (p, g) in enumerate(zip(param_arrays, grad_arrays)):
+        ref["m"][i] = b1 * ref["m"][i] + (1.0 - b1) * g
+        ref["v"][i] = b2 * ref["v"][i] + (1.0 - b2) * g * g
+        m_hat = ref["m"][i] / (1.0 - b1**t)
+        v_hat = ref["v"][i] / (1.0 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def several_block_net(seed=21):
+    # 60-200-150-5 mirrored: 86,265 parameters, 2.6 blocks of 32,768
+    enc, dec = mirrored_spec(60, 5, (200, 150))
+    return init_autoencoder(enc, dec, seed)
+
+
+class TestFlatOptimizerBits:
+    def test_net_spans_several_blocks_with_a_ragged_last_one(self):
+        n = several_block_net().flat.size
+        assert n > 2 * nn._BLOCK and n % nn._BLOCK != 0
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_five_steps_match_the_per_tensor_loop_bitwise(self, kind):
+        params = several_block_net()
+        ref_params = [p.copy() for _, p in iter_param_arrays(params)]
+        state = make_optimizer(kind, learning_rate=1e-2)
+        ref = {"m": [], "v": [], "t": 0}
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            batch = rng.standard_normal((17, 60))
+            cache = forward(params, batch)
+            _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+            grads = backward(params, cache, grad_out, grad_latent=rng.standard_normal((17, 5)))
+            reference_step(ref_params, [g.copy() for _, g in iter_grad_arrays(grads)], state, ref)
+            params, state = optimizer_step(params, grads, state)
+        for (name, p), r in zip(iter_param_arrays(params), ref_params):
+            assert np.array_equal(p, r), name
+        if kind == "adam":
+            assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref["m"]]))
+            assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref["v"]]))
+            assert state.step_count == ref["t"] == 5
+
+    def test_array_step_matches_the_per_tensor_loop_bitwise(self):
+        rng = np.random.default_rng(23)
+        centroids = rng.standard_normal((10, 4))
+        ref_centroids = centroids.copy()
+        state = make_optimizer("adam", learning_rate=1e-3)
+        ref = {"m": [], "v": [], "t": 0}
+        for _ in range(5):
+            grad = rng.standard_normal((10, 4))
+            reference_step([ref_centroids], [grad], state, ref)
+            step_array(centroids, grad, state, "centroids")
+        assert np.array_equal(centroids, ref_centroids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        block=st.integers(1, 1024),
+        kind=st.sampled_from(["adam", "sgd"]),
+        steps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_size_does_not_change_the_bits(self, n, block, kind, steps, seed):
+        rng = np.random.default_rng(seed)
+        start = rng.standard_normal(n)
+        grads = rng.standard_normal((steps, n)) * rng.uniform(1e-3, 1e3)
+        results = []
+        for size in (block, n):
+            p = start.copy()
+            state = make_optimizer(kind, learning_rate=1e-2)
+            with mock.patch.object(nn, "_BLOCK", size):
+                for g in grads:
+                    nn._update(p, g, state)
+            results.append((p, state.m, state.v))
+        (p1, m1, v1), (p2, m2, v2) = results
+        assert np.array_equal(p1, p2)
+        if kind == "adam":
+            assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
+
+
+class TestFlatLayout:
+    def test_every_tensor_is_a_view_of_the_one_vector_in_order(self):
+        params = tiny_net(seed=3, m=5, latent=2, hidden=(4, 3))
+        offset = 0
+        for name, p in iter_param_arrays(params):
+            assert np.shares_memory(p, params.flat), name
+            np.testing.assert_array_equal(params.flat[offset : offset + p.size], p.ravel())
+            offset += p.size
+        assert offset == params.flat.size
+        params.flat[:] = 0.5
+        assert all(np.all(p == 0.5) for _, p in iter_param_arrays(params))
+
+    def test_copy_shares_no_memory(self):
+        params = tiny_net(seed=3)
+        twin = params.copy()
+        assert not np.shares_memory(twin.flat, params.flat)
+        np.testing.assert_array_equal(twin.flat, params.flat)
+        for (name, a), (_, b) in zip(iter_param_arrays(twin), iter_param_arrays(params)):
+            assert np.shares_memory(a, twin.flat), name
+            assert not np.shares_memory(a, b), name
+
+    def test_hand_built_params_are_packed_without_touching_the_inputs(self):
+        w = np.array([[1.0]])
+        params = AutoencoderParams(
+            encoder=[Layer(w, np.zeros(1), "linear")],
+            decoder=[Layer(np.array([[1.0]]), np.zeros(1), "linear")],
+        )
+        assert params.flat.size == 4
+        assert np.shares_memory(params.encoder[0].weight, params.flat)
+        grads = zero_grads_like(params)
+        grads.encoder[0] = (np.array([[2.0]]), np.zeros(1))
+        optimizer_step(params, grads, make_optimizer("sgd", learning_rate=0.1))
+        assert w[0, 0] == 1.0
+        assert params.flat[0] == pytest.approx(0.8, abs=0)
+
+    def test_gradients_of_two_backward_calls_do_not_alias(self):
+        params = tiny_net(seed=4)
+        batch = np.random.default_rng(24).standard_normal((3, 4))
+        cache = forward(params, batch)
+        first = backward(params, cache, np.ones_like(cache.reconstruction))
+        second = backward(params, cache, np.ones_like(cache.reconstruction))
+        assert not np.shares_memory(first.flat, second.flat)
+        for (name, a), (_, b) in zip(iter_grad_arrays(first), iter_grad_arrays(second)):
+            assert np.shares_memory(a, first.flat), name
+            assert not np.shares_memory(a, b), name
+            assert np.array_equal(a, b), name
+
+    def test_replaced_gradient_entries_and_layer_arrays_still_step_exactly(self):
+        rng = np.random.default_rng(25)
+        params = several_block_net()
+        batch = rng.standard_normal((9, 60))
+        cache = forward(params, batch)
+        grads = backward(params, cache, rng.standard_normal(cache.reconstruction.shape))
+        ref_params = [p.copy() for _, p in iter_param_arrays(params)]
+        ref_grads = [g.copy() for _, g in iter_grad_arrays(grads)]
+        # a gradient entry replaced after backward, and a layer array rebound
+        grads.decoder[0] = (grads.decoder[0][0] * 2.0, grads.decoder[0][1])
+        ref_grads[2 * len(params.encoder)] *= 2.0
+        params.encoder[1].weight = params.encoder[1].weight.copy()
+        state = make_optimizer("adam", learning_rate=1e-2)
+        ref = {"m": [], "v": [], "t": 0}
+        for _ in range(2):
+            reference_step(ref_params, ref_grads, state, ref)
+            optimizer_step(params, grads, state)
+        for (name, p), r in zip(iter_param_arrays(params), ref_params):
+            assert np.array_equal(p, r), name
+            assert np.shares_memory(p, params.flat), name
+
+
+class TestOptimizerInputs:
+    @pytest.mark.parametrize("beta1, beta2", [(1.0, 0.999), (-0.1, 0.999), (0.9, 1.0),
+                                              (0.9, 1.5), (float("nan"), 0.999)])
+    def test_betas_outside_the_unit_interval_rejected(self, beta1, beta2):
+        with pytest.raises(ValueError, match="beta"):
+            make_optimizer("adam", beta1=beta1, beta2=beta2)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            make_optimizer("adam", eps=eps)
+
+    def test_moments_of_another_size_rejected_before_any_change(self):
+        params = tiny_net(seed=13)
+        before = params.flat.copy()
+        state = make_optimizer("adam", learning_rate=0.1)
+        state.m, state.v = np.zeros(1), np.zeros(1)
+        with pytest.raises(ValueError, match="moments"):
+            optimizer_step(params, zero_grads_like(params), state)
+        assert np.array_equal(params.flat, before)
+        assert state.step_count == 0
+
+    def test_non_finite_last_gradient_moves_no_parameter(self):
+        params = tiny_net(seed=13)
+        before = params.flat.copy()
+        grads = zero_grads_like(params)
+        for pair in grads.encoder + grads.decoder:
+            pair[0][...] = 1.0
+        grads.decoder[-1] = (grads.decoder[-1][0], np.array([1.0, np.inf, 1.0, 1.0]))
+        state = make_optimizer("adam", learning_rate=0.1)
+        with pytest.raises(FloatingPointError, match=r"decoder\[1\]\.bias"):
+            optimizer_step(params, grads, state)
+        assert np.array_equal(params.flat, before)
+
+    def test_huge_finite_gradients_still_step(self):
+        params = tiny_net(seed=13)
+        grads = zero_grads_like(params)
+        grads.encoder[0][0][...] = 1e308
+        state = make_optimizer("sgd", learning_rate=1e-310)
+        optimizer_step(params, grads, state)
+        assert params.all_finite()
+
+    def test_array_step_checks_its_inputs(self):
+        state = make_optimizer("adam")
+        with pytest.raises(ValueError, match="shape"):
+            step_array(np.zeros((2, 3)), np.zeros((3, 2)), state)
+        with pytest.raises(ValueError, match="contiguous"):
+            step_array(np.zeros((3, 2)).T, np.zeros((2, 3)), state)
+        with pytest.raises(FloatingPointError, match="centroids"):
+            step_array(np.zeros(2), np.array([0.0, np.nan]), state, "centroids")
