@@ -17,13 +17,7 @@ from .harness import (
     SuiteResult,
     TrainConfig,
     pretrain,
-    run_baseline_aekm,
-    run_baseline_km,
-    run_dcn,
-    run_dkm,
     run_method,
-    run_ours,
-    run_ours_norein,
     run_suite,
 )
 from .losses import (
@@ -55,9 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "KMeansResult", "assign", "kmeans", "kmeans_plus_plus_init", "lloyd_step",
     "Dataset", "concat_datasets", "load_delimited", "load_idx", "make_blobs", "save_idx",
-    "METHODS", "RunReport", "SuiteResult", "TrainConfig", "pretrain",
-    "run_baseline_aekm", "run_baseline_km", "run_dcn", "run_dkm", "run_method",
-    "run_ours", "run_ours_norein", "run_suite",
+    "METHODS", "RunReport", "SuiteResult", "TrainConfig", "pretrain", "run_method", "run_suite",
     "CombinedResult", "LossConfig", "combined_objective", "ct_loss", "ct_weights",
     "dcn_penalty", "dkm_loss", "dkm_weights",
     "MetricsReport", "accuracy", "evaluate", "hungarian", "nmi",

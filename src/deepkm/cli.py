@@ -34,7 +34,6 @@ from .harness import (
     RunReport,
     SuiteResult,
     TrainConfig,
-    default_lambda,
     run_method,
     run_suite,
 )
@@ -53,7 +52,6 @@ class ExperimentFile:
     seeds: list[int]
     overrides: dict = field(default_factory=dict)  # TrainConfig fields
     out_dir: str = ""
-    lam_explicit: bool = False  # False -> per-method default coefficient
     pred_path: str | None = None
     truth_path: str | None = None
 
@@ -163,7 +161,7 @@ def _read_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    out: dict = {"overrides": {}, "lam_explicit": False}
+    out: dict = {"overrides": {}}
     if parser.has_option("dataset", "source"):
         out["dataset_spec"] = parser.get("dataset", "source")
     if parser.has_section("train"):
@@ -173,12 +171,7 @@ def _read_config_file(path: str) -> dict:
                     f"{path}: unknown [train] key {key!r}; "
                     f"valid keys: {', '.join(sorted(_TRAIN_KEYS))}"
                 )
-            value = _TRAIN_KEYS[key](raw)
-            if key == "lambda":
-                out["overrides"]["lam"] = value
-                out["lam_explicit"] = True
-            else:
-                out["overrides"][key] = value
+            out["overrides"]["lam" if key == "lambda" else key] = _TRAIN_KEYS[key](raw)
     if parser.has_option("suite", "methods"):
         out["methods"] = [m.strip() for m in parser.get("suite", "methods").split(",") if m.strip()]
     if parser.has_option("suite", "seeds"):
@@ -241,7 +234,7 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
             out_dir=args.out or "", pred_path=args.pred, truth_path=args.truth,
         )
 
-    file_cfg: dict = {"overrides": {}, "lam_explicit": False}
+    file_cfg: dict = {"overrides": {}}
     if args.config:
         try:
             file_cfg = _read_config_file(args.config)
@@ -249,9 +242,8 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
             parser.error(str(exc))
 
     overrides = dict(file_cfg.get("overrides", {}))
-    lam_explicit = bool(file_cfg.get("lam_explicit", False))
     flag_map = {
-        "seed": args.seed, "k": args.k, "alpha": args.alpha,
+        "seed": args.seed, "k": args.k, "lam": args.lam, "alpha": args.alpha,
         "finetune_epochs": args.epochs, "pretrain_epochs": args.pretrain_epochs,
         "batch_size": args.batch_size, "latent_dim": args.latent_dim,
         "optimizer": args.optimizer, "learning_rate": args.learning_rate,
@@ -259,9 +251,6 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
     for key, value in flag_map.items():
         if value is not None:
             overrides[key] = value
-    if args.lam is not None:
-        overrides["lam"] = args.lam
-        lam_explicit = True
     if args.hidden_dims is not None:
         overrides["hidden_dims"] = _parse_hidden_dims(args.hidden_dims)
     method = getattr(args, "method", None)
@@ -295,20 +284,19 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
 
     exp = ExperimentFile(
         command=args.command, dataset_spec=dataset_spec, methods=methods,
-        seeds=seeds, overrides=overrides, out_dir=out_dir, lam_explicit=lam_explicit,
+        seeds=seeds, overrides=overrides, out_dir=out_dir,
     )
     try:
-        _effective_config(exp, methods[0], seeds[0])
+        _effective_config(exp)
     except ValueError as exc:
         parser.error(str(exc))
     return exp
 
 
-def _effective_config(exp: ExperimentFile, method: str, seed: int) -> TrainConfig:
+def _effective_config(exp: ExperimentFile) -> TrainConfig:
+    """The first method and seed's config; an unset lam means each method's default."""
     fields = {k: v for k, v in exp.overrides.items() if k not in ("method", "seed")}
-    if not exp.lam_explicit:
-        fields["lam"] = default_lambda(method)
-    return TrainConfig(method=method, seed=int(seed), **fields)
+    return TrainConfig(method=exp.methods[0], seed=int(exp.seeds[0]), **fields)
 
 
 def resolve_out_dir(out_dir: str) -> Path:
@@ -459,31 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if exp.command == "run":
-        config = _effective_config(exp, exp.methods[0], exp.seeds[0])
-        try:
-            report = run_method(dataset, config)
-        except Exception as exc:  # noqa: BLE001 - surface as exit status
-            print(f"error: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        paths = emit_report(report, exp.out_dir)
-        _print_run_line(report)
-        print(f"wrote {', '.join(str(p) for p in paths)}")
-        return 0
-
     if exp.command == "suite":
-        base = _effective_config(exp, exp.methods[0], exp.seeds[0])
-        if exp.lam_explicit:
-            result = run_suite(dataset, base, exp.seeds, exp.methods)
-        else:
-            # No explicit coefficient: give each method its own default.
-            result = SuiteResult(rows=[], reports=[], failures=[])
-            for method in exp.methods:
-                cfg = _effective_config(exp, method, exp.seeds[0])
-                part = run_suite(dataset, cfg, exp.seeds, [method])
-                result.rows.extend(part.rows)
-                result.reports.extend(part.reports)
-                result.failures.extend(part.failures)
+        result = run_suite(dataset, _effective_config(exp), exp.seeds, exp.methods)
         paths = emit_report(result.reports, exp.out_dir, suite=result)
         for report in result.reports:
             _print_run_line(report)
@@ -492,20 +457,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {len(paths)} files to {resolve_out_dir(exp.out_dir)}")
         return 0 if not result.failures else 1
 
-    if exp.command == "project":
-        config = _effective_config(exp, exp.methods[0], exp.seeds[0])
+    if exp.command in ("run", "project"):
         try:
-            report = run_method(dataset, config)
+            report = run_method(dataset, _effective_config(exp))
         except Exception as exc:  # noqa: BLE001 - surface as exit status
             print(f"error: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        coords = project_2d(report.latents, report.assignment, dataset.labels)
-        out = resolve_out_dir(exp.out_dir)
-        proj_path = out / f"{report.method}_seed{report.seed}_projection.tsv"
-        write_projection(proj_path, coords, report.assignment, dataset.labels)
-        emit_report(report, exp.out_dir)
+        paths = emit_report(report, exp.out_dir)
+        if exp.command == "project":
+            coords = project_2d(report.latents, report.assignment, dataset.labels)
+            out = resolve_out_dir(exp.out_dir)
+            paths = [out / f"{report.method}_seed{report.seed}_projection.tsv"]
+            write_projection(paths[0], coords, report.assignment, dataset.labels)
         _print_run_line(report)
-        print(f"wrote {proj_path}")
+        print(f"wrote {', '.join(str(p) for p in paths)}")
         return 0
 
     print(f"error: unknown command {exp.command!r}", file=sys.stderr)

@@ -43,6 +43,13 @@ def _check_points(points: np.ndarray, what: str = "points") -> np.ndarray:
     return points
 
 
+def differences(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, K, dim) differences ``points - centers`` and their (N, K)
+    squared norms: the one definition of distance, for float64 inputs."""
+    diff = points[:, None, :] - centers[None, :, :]
+    return diff, np.einsum("nkd,nkd->nk", diff, diff)
+
+
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Exact (N, K) squared euclidean distances, computed blockwise."""
     points = np.asarray(points, dtype=np.float64)
@@ -52,8 +59,7 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     out = np.empty((n, k))
     block = max(1, _BLOCK_ELEMS // max(1, k * dim))
     for start in range(0, n, block):
-        diff = points[start : start + block, None, :] - centers[None, :, :]
-        out[start : start + block] = np.einsum("nkd,nkd->nk", diff, diff)
+        out[start : start + block] = differences(points[start : start + block], centers)[1]
     return out
 
 

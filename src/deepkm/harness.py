@@ -1,9 +1,13 @@
 """Training loops for every compared method, under one seeded protocol.
 
-Methods:
+A private table maps each method to a clustering-term variant and a
+centroid schedule; ``run_method`` looks the method up and runs the one
+shared loop, ``_finetune``:
 
-* ``km``          — K-means on raw features, no network.
-* ``aekm``        — reconstruction-only pretraining, then K-means on latents.
+* ``km``          — K-means on raw features, no network (the one run
+                    outside the loop).
+* ``aekm``        — reconstruction-only pretraining, then K-means on
+                    latents: the loop with zero finetune epochs.
 * ``ours``        — pretrain, then alternate: SGD epochs on
                     reconstruction + lam * ct term with centroids FROZEN,
                     and a full K-means refresh of the centroids on
@@ -17,6 +21,9 @@ Methods:
                     0.5*||z-r||^2 penalty, then running-mean centroid
                     updates with per-cluster counts.
 
+An unset ``TrainConfig.lam`` means the method's own coefficient
+(``default_lambda``); reports record the coefficient actually used.
+
 Randomness is split into named streams (parameter init, pretrain
 shuffling, initial K-means, finetune shuffling, per-epoch refresh
 K-means) derived from one seed, so methods that share a phase consume
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,7 +56,18 @@ from .nn import (
     step_array,
 )
 
-METHODS = ("km", "aekm", "dcn", "dkm", "dkm_rein", "ours", "ours_norein")
+# method -> (clustering-term variant, K-means refit at every epoch end).
+# km (None) trains no network; aekm (variant None) finetunes for zero epochs.
+_METHOD_TABLE: dict[str, tuple[str | None, bool] | None] = {
+    "km": None,
+    "aekm": (None, False),
+    "dcn": ("dcn", False),
+    "dkm": ("dkm", False),
+    "dkm_rein": ("dkm", True),
+    "ours": ("ct", True),
+    "ours_norein": ("ct", False),
+}
+METHODS = tuple(_METHOD_TABLE)
 
 # Batch hook for instrumentation: (epoch, batch_index, centroids copy).
 BatchHook = Callable[[int, int, np.ndarray], None]
@@ -68,7 +86,7 @@ class TrainConfig:
     pretrain_epochs: int = 50
     finetune_epochs: int = 100
     batch_size: int = 256
-    lam: float = 10.0
+    lam: float | None = None  # None: the method's default_lambda
     alpha: float = 3.0
     latent_dim: int = 10
     hidden_dims: tuple[int, ...] = (500, 500, 2000)
@@ -85,13 +103,18 @@ class TrainConfig:
             raise ValueError("k, batch_size and latent_dim must be positive")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        if self.lam < 0:
+        if self.lam is not None and self.lam < 0:
             raise ValueError("lam must be non-negative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.kmeans_max_iters < 1 or self.kmeans_tol < 0:
             raise ValueError("bad kmeans settings")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+
+    @property
+    def effective_lam(self) -> float:
+        """The clustering coefficient a run uses: ``lam``, or the method's default."""
+        return default_lambda(self.method) if self.lam is None else self.lam
 
 
 @dataclass
@@ -152,11 +175,6 @@ def _seed_streams(config: TrainConfig) -> dict:
     }
 
 
-def _init_params(dataset: Dataset, config: TrainConfig, init_seed: int) -> AutoencoderParams:
-    enc, dec = mirrored_spec(dataset.m, config.latent_dim, config.hidden_dims)
-    return init_autoencoder(enc, dec, init_seed)
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     """Shuffled fixed-size batches; the short remainder batch is kept."""
     perm = rng.permutation(n)
@@ -164,12 +182,13 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _pretrain_loop(
-    dataset: Dataset,
-    config: TrainConfig,
-    params: AutoencoderParams,
-    rng: np.random.Generator,
-) -> list[float]:
+def _pretrained(dataset: Dataset, config: TrainConfig) -> tuple[dict, AutoencoderParams, list[float]]:
+    """The seed streams, then the parameters after reconstruction-only
+    minibatch training for ``pretrain_epochs``, and its per-epoch losses."""
+    streams = _seed_streams(config)
+    enc, dec = mirrored_spec(dataset.m, config.latent_dim, config.hidden_dims)
+    params = init_autoencoder(enc, dec, streams["init_seed"])
+    rng = streams["pretrain_rng"]
     opt = make_optimizer(config.optimizer, config.learning_rate)
     losses = []
     for epoch in range(config.pretrain_epochs):
@@ -187,7 +206,7 @@ def _pretrain_loop(
             total += value
             batches += 1
         losses.append(total / batches)
-    return losses
+    return streams, params, losses
 
 
 def pretrain(dataset: Dataset, config: TrainConfig,
@@ -197,27 +216,28 @@ def pretrain(dataset: Dataset, config: TrainConfig,
     Per-epoch mean losses are appended to ``loss_record`` when given.
     Zero epochs returns the freshly initialized parameters unchanged.
     """
-    streams = _seed_streams(config)
-    params = _init_params(dataset, config, streams["init_seed"])
-    losses = _pretrain_loop(dataset, config, params, streams["pretrain_rng"])
+    _, params, losses = _pretrained(dataset, config)
     if loss_record is not None:
         loss_record.extend(losses)
     return params
 
 
-def _warn_unconverged(result: KMeansResult, method: str, when: str) -> None:
-    """Say so when a K-means fit stopped at max_iters short of converging."""
+def _kmeans(points: np.ndarray, config: TrainConfig, rng: np.random.Generator,
+            when: str) -> KMeansResult:
+    """K-means with the run's settings; warns when the fit stopped at
+    max_iters short of converging."""
+    result = kmeans(points, config.k, rng, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol)
     if not result.converged:
         warnings.warn(
-            f"{method}: K-means {when} stopped at {result.iterations} "
+            f"{config.method}: K-means {when} stopped at {result.iterations} "
             "iterations without converging (raise kmeans_max_iters)",
             RuntimeWarning,
             stacklevel=2,
         )
+    return result
 
 
 def _finish(
-    method: str,
     config: TrainConfig,
     started: float,
     dataset: Dataset,
@@ -230,9 +250,10 @@ def _finish(
 ) -> RunReport:
     metrics = None if dataset.labels is None else evaluate(assignment, dataset.labels)
     return RunReport(
-        method=method,
+        method=config.method,
         seed=config.seed,
-        config=asdict(config) | {"hidden_dims": list(config.hidden_dims)},
+        config=asdict(config) | {"hidden_dims": list(config.hidden_dims),
+                                 "lam": config.effective_lam},
         pretrain_losses=pretrain_losses,
         reconstruction_losses=recon_losses,
         clustering_losses=clust_losses,
@@ -244,80 +265,48 @@ def _finish(
     )
 
 
-def run_baseline_km(dataset: Dataset, config: TrainConfig) -> RunReport:
+def _run_km(dataset: Dataset, config: TrainConfig) -> RunReport:
     """K-means directly on the raw feature space."""
     started = time.perf_counter()
     streams = _seed_streams(config)
-    result = kmeans(
-        dataset.features, config.k, streams["kmeans0_rng"],
-        max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
-    )
-    _warn_unconverged(result, "km", "fit")
+    result = _kmeans(dataset.features, config, streams["kmeans0_rng"], "fit")
     labels = assign(dataset.features, result.centers)
-    return _finish("km", config, started, dataset, labels, result.centers,
+    return _finish(config, started, dataset, labels, result.centers,
                    [], [], [], latents=dataset.features)
-
-
-def run_baseline_aekm(dataset: Dataset, config: TrainConfig) -> RunReport:
-    """Pretrain the autoencoder, then K-means once on the latent codes."""
-    started = time.perf_counter()
-    streams = _seed_streams(config)
-    params = _init_params(dataset, config, streams["init_seed"])
-    pre_losses = _pretrain_loop(dataset, config, params, streams["pretrain_rng"])
-    latents = encode_blocks(params, dataset.features)
-    result = kmeans(
-        latents, config.k, streams["kmeans0_rng"],
-        max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
-    )
-    _warn_unconverged(result, "aekm", "fit")
-    labels = assign(latents, result.centers)
-    return _finish("aekm", config, started, dataset, labels, result.centers,
-                   pre_losses, [], [], latents=latents)
 
 
 def _finetune(
     dataset: Dataset,
     config: TrainConfig,
-    variant: str,
+    variant: str | None,
     reinit: bool,
     on_batch: BatchHook | None = None,
 ) -> RunReport:
-    """Shared alternating loop behind ours / ours_norein / dkm / dkm_rein / dcn.
+    """The shared loop: pretrain, K-means on the latents, then finetune.
 
-    ``variant`` picks the clustering term; ``reinit`` replaces the
-    centroids with a fresh K-means solution on full-data latents at each
-    epoch end. Centroid motion WITHIN an epoch depends on the variant:
-    frozen for ct, optimizer steps for dkm, running means for dcn.
+    ``variant`` picks the clustering term (None: no finetuning, as for
+    aekm); ``reinit`` replaces the centroids with a fresh K-means
+    solution on full-data latents at each epoch end. Centroid motion
+    WITHIN an epoch depends on the variant: frozen for ct, optimizer
+    steps for dkm, running means for dcn.
     """
     started = time.perf_counter()
-    method = {
-        ("ct", True): "ours",
-        ("ct", False): "ours_norein",
-        ("dkm", True): "dkm_rein",
-        ("dkm", False): "dkm",
-        ("dcn", False): "dcn",
-    }[(variant, reinit)]
-    streams = _seed_streams(config)
-    params = _init_params(dataset, config, streams["init_seed"])
-    pre_losses = _pretrain_loop(dataset, config, params, streams["pretrain_rng"])
-
+    epochs = config.finetune_epochs if variant is not None else 0
+    streams, params, pre_losses = _pretrained(dataset, config)
     latents = encode_blocks(params, dataset.features)
-    km0 = kmeans(
-        latents, config.k, streams["kmeans0_rng"],
-        max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
-    )
-    _warn_unconverged(km0, method, "initial fit")
+    km0 = _kmeans(latents, config, streams["kmeans0_rng"], "initial fit")
     centroids = km0.centers
-    loss_cfg = LossConfig(variant=variant, lam=config.lam, alpha=config.alpha)
+    if epochs:
+        loss_cfg = LossConfig(variant=variant, lam=config.effective_lam, alpha=config.alpha)
     opt = make_optimizer(config.optimizer, config.learning_rate)
     centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
     counts = np.bincount(km0.labels, minlength=config.k).astype(np.float64)
-    rein_seeds = streams["rein_seeds"].spawn(config.finetune_epochs) if reinit else []
+    rein_seeds = streams["rein_seeds"].spawn(epochs) if reinit else []
     tune_rng = streams["finetune_rng"]
 
     recon_losses: list[float] = []
     clust_losses: list[float] = []
-    for epoch in range(config.finetune_epochs):
+    for epoch in range(epochs):
         recon_sum, clust_sum, batches = 0.0, 0.0, 0
         for idx in _batches(dataset.n, config.batch_size, tune_rng):
             batch = dataset.features[idx]
@@ -343,21 +332,17 @@ def _finetune(
         clust_losses.append(clust_sum / batches)
         if reinit:
             latents = encode_blocks(params, dataset.features)
-            km = kmeans(
-                latents, config.k, np.random.default_rng(rein_seeds[epoch]),
-                max_iters=config.kmeans_max_iters, tol=config.kmeans_tol,
-            )
-            _warn_unconverged(km, method, f"refit at epoch {epoch}")
-            centroids = km.centers
+            rng = np.random.default_rng(rein_seeds[epoch])
+            centroids = _kmeans(latents, config, rng, f"refit at epoch {epoch}").centers
             if variant == "dkm":
                 centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
 
-    if config.finetune_epochs and not reinit:
+    if epochs and not reinit:
         # Otherwise no step has changed the parameters since the last encode.
         latents = encode_blocks(params, dataset.features)
     labels = assign(latents, centroids)
     return _finish(
-        method, config, started, dataset, labels, centroids,
+        config, started, dataset, labels, centroids,
         pre_losses, recon_losses, clust_losses, latents=latents,
     )
 
@@ -380,49 +365,15 @@ def _dcn_center_update(
     return centroids
 
 
-def run_ours(dataset: Dataset, config: TrainConfig, on_batch: BatchHook | None = None) -> RunReport:
-    """Alternating scheme: ct-loss SGD epochs with frozen centroids,
-    K-means centroid refresh on full-data latents at every epoch end."""
-    return _finetune(dataset, config, "ct", reinit=True, on_batch=on_batch)
-
-
-def run_ours_norein(dataset: Dataset, config: TrainConfig,
-                    on_batch: BatchHook | None = None) -> RunReport:
-    """Like run_ours but the initial centroids are kept throughout."""
-    return _finetune(dataset, config, "ct", reinit=False, on_batch=on_batch)
-
-
-def run_dkm(dataset: Dataset, config: TrainConfig, reinit: bool = False,
-            on_batch: BatchHook | None = None) -> RunReport:
-    """Softmax-weighted objective; optimizer trains centroids each batch.
-    With ``reinit`` the centroids are additionally re-seeded by K-means
-    (and their optimizer state reset) at each epoch boundary."""
-    return _finetune(dataset, config, "dkm", reinit=reinit, on_batch=on_batch)
-
-
-def run_dcn(dataset: Dataset, config: TrainConfig, on_batch: BatchHook | None = None) -> RunReport:
-    """Hard-assignment penalty with running-mean centroid updates."""
-    return _finetune(dataset, config, "dcn", reinit=False, on_batch=on_batch)
-
-
-def run_method(dataset: Dataset, config: TrainConfig) -> RunReport:
-    """Dispatch on config.method."""
-    method = config.method
-    if method == "km":
-        return run_baseline_km(dataset, config)
-    if method == "aekm":
-        return run_baseline_aekm(dataset, config)
-    if method == "ours":
-        return run_ours(dataset, config)
-    if method == "ours_norein":
-        return run_ours_norein(dataset, config)
-    if method == "dkm":
-        return run_dkm(dataset, config, reinit=False)
-    if method == "dkm_rein":
-        return run_dkm(dataset, config, reinit=True)
-    if method == "dcn":
-        return run_dcn(dataset, config)
-    raise ValueError(f"unknown method {method!r}")
+def run_method(dataset: Dataset, config: TrainConfig,
+               on_batch: BatchHook | None = None) -> RunReport:
+    """Run ``config.method``. ``on_batch(epoch, batch, centroids)`` is
+    called after every finetuning batch with a copy of the centroids."""
+    spec = _METHOD_TABLE[config.method]
+    if spec is None:
+        return _run_km(dataset, config)
+    variant, reinit = spec
+    return _finetune(dataset, config, variant, reinit, on_batch)
 
 
 @dataclass
@@ -450,8 +401,11 @@ def run_suite(
     """Run every (method, seed) pair with the SAME seed list per method.
 
     Rows aggregate ACC/NMI as mean and population standard deviation.
-    A failed run is recorded and the suite keeps going; failed runs are
-    excluded from that method's aggregates.
+    A run that fails numerically or on its data (``ValueError``,
+    ``ArithmeticError``, ``LinAlgError``) is recorded and the suite keeps
+    going; failed runs are excluded from that method's aggregates. Any
+    other exception is a programming error and propagates. An unset
+    ``lam`` gives each method its own default.
     """
     if not seeds or not methods:
         raise ValueError("need at least one seed and one method")
@@ -467,7 +421,7 @@ def run_suite(
             cfg = TrainConfig(**{**base, "method": method, "seed": int(seed)})
             try:
                 report = run_method(dataset, cfg)
-            except Exception as exc:  # noqa: BLE001 - suite must survive any run
+            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
                 failures.append((method, int(seed), f"{type(exc).__name__}: {exc}"))
                 continue
             reports.append(report)

@@ -1,13 +1,16 @@
 """Clustering-regularized objectives and their analytic gradients.
 
 Three clustering terms share the skeleton "sum of squared distances,
-weighted by a row-stochastic membership matrix":
+weighted by a row-stochastic membership matrix". ct and dkm are one
+core, ``_weighted_distance`` (value, d/dz, d/dc), that differs only in
+the logits of its softmax weights (``_weights``):
 
-* ``ct``  — weights proportional to d^(-alpha); gradients flow through
-  both the distance factor and the weights, but centroids are trained
-  only by the periodic K-means refresh, never by these gradients.
-* ``dkm`` — softmax(-alpha * d) weights; centroids receive gradients and
-  are trained jointly with the network.
+* ``ct``  — logits -alpha*log(max(d, eps)), weights proportional to
+  d^(-alpha); gradients flow through both the distance factor and the
+  weights, but centroids are trained only by the periodic K-means
+  refresh, never by these gradients.
+* ``dkm`` — logits -alpha*d; centroids receive gradients and are
+  trained jointly with the network.
 * ``dcn`` — hard nearest-centroid assignment with a 0.5 * ||z - r||^2
   penalty; centroids follow running per-cluster means elsewhere.
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import assign
+from .clustering import assign, differences
 from .nn import AutoencoderParams, Gradients, backward, forward
 
 VARIANTS = ("ct", "dkm", "dcn")
@@ -55,15 +58,57 @@ def _pairwise(latent: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np
             f"latent {latent.shape} and centroids {centroids.shape} are not "
             "compatible 2-d arrays"
         )
-    diff = latent[:, None, :] - centroids[None, :, :]
-    d = np.einsum("bkl,bkl->bk", diff, diff)
-    return diff, d
+    return differences(latent, centroids)
 
 
-def _row_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+def _weights(d: np.ndarray, alpha: float, epsilon: float | None) -> np.ndarray:
+    """Row softmax of the membership logits -alpha*log(max(d, epsilon)),
+    i.e. weights proportional to d^(-alpha) (ct), or of -alpha*d when
+    epsilon is None (dkm)."""
+    logits = -float(alpha) * (d if epsilon is None else np.log(np.maximum(d, epsilon)))
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _weighted_distance(
+    latent: np.ndarray,
+    centroids: np.ndarray,
+    config: LossConfig,
+    centroid_grad: bool = False,
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The one core behind ct and dkm: the batch mean of sum_k w_k d_k with
+    w = _weights(d), its gradient for the latents and, when asked for,
+    for the centroids (else None).
+
+    The gradients differentiate through the weights as well as the
+    distances. The raw (unfloored) distance multiplies each weight, so a
+    point sitting exactly on its only centroid contributes 0.
+    """
+    diff, d = _pairwise(latent, centroids)
+    b = d.shape[0]
+    alpha = float(config.alpha)
+    epsilon = config.epsilon if config.variant == "ct" else None
+    w = _weights(d, alpha, epsilon)
+    per_sample = np.einsum("bk,bk->b", d, w)
+    value = float(per_sample.sum() / b)
+    # d/dz of the weights contributes -2*alpha * coef per cluster, with
+    # coef = w*(d - s) for the logits -alpha*d. Through -alpha*log d it is
+    # also divided by the floored distance and masked where the floor
+    # clamps (there the weight has zero local dependence on z).
+    coef = w * (d - per_sample[:, None])
+    if epsilon is not None:
+        coef = coef / np.maximum(d, epsilon) * (d > epsilon)
+    grad_z = (
+        2.0 * np.einsum("bk,bkl->bl", w, diff)
+        - 2.0 * alpha * np.einsum("bk,bkl->bl", coef, diff)
+    ) / b
+    grad_c = None
+    if centroid_grad:
+        grad_c = (
+            -2.0 * np.einsum("bk,bkl->kl", w, diff)
+            + 2.0 * alpha * np.einsum("bk,bkl->kl", coef, diff)
+        ) / b
+    return value, grad_z, grad_c
 
 
 def ct_weights(
@@ -77,14 +122,12 @@ def ct_weights(
     d^(-alpha) is evaluated as exp(-alpha*log(max(d, epsilon))), which is
     a softmax over -alpha*log d and therefore safe for any alpha.
     """
-    _, d = _pairwise(latent, centroids)
-    return _row_softmax(-float(alpha) * np.log(np.maximum(d, epsilon)))
+    return _weights(_pairwise(latent, centroids)[1], alpha, epsilon)
 
 
 def dkm_weights(latent: np.ndarray, centroids: np.ndarray, alpha_dkm: float) -> np.ndarray:
     """Row-stochastic (B, K) softmax of -alpha_dkm times squared distance."""
-    _, d = _pairwise(latent, centroids)
-    return _row_softmax(-float(alpha_dkm) * d)
+    return _weights(_pairwise(latent, centroids)[1], alpha_dkm, None)
 
 
 def ct_loss(
@@ -92,29 +135,11 @@ def ct_loss(
     centroids: np.ndarray,
     config: LossConfig,
 ) -> tuple[float, np.ndarray]:
-    """Mean over the batch of sum_k d_k * w_k, with w = ct_weights.
-
-    The returned gradient differentiates through the weights as well as
-    the distances. The raw (unfloored) distance multiplies each weight,
-    so a point sitting exactly on its only centroid contributes 0.
-    """
+    """Mean over the batch of sum_k d_k * w_k, with w = ct_weights, and
+    its gradient for the latents."""
     if config.variant != "ct":
         raise ValueError(f"ct_loss called with variant {config.variant!r}")
-    diff, d = _pairwise(latent, centroids)
-    b = d.shape[0]
-    alpha = float(config.alpha)
-    d_floor = np.maximum(d, config.epsilon)
-    w = _row_softmax(-alpha * np.log(d_floor))
-    per_sample = np.einsum("bk,bk->b", d, w)
-    value = float(per_sample.sum() / b)
-    # d/dz of the weights contributes -2*alpha * w*(d - s)/d_floor per
-    # cluster; the factor is masked where the floor clamps the distance
-    # (there the weight has zero local dependence on z).
-    coef = w * (d - per_sample[:, None]) / d_floor * (d > config.epsilon)
-    grad_latent = (
-        2.0 * np.einsum("bk,bkl->bl", w, diff)
-        - 2.0 * alpha * np.einsum("bk,bkl->bl", coef, diff)
-    ) / b
+    value, grad_latent, _ = _weighted_distance(latent, centroids, config)
     return value, grad_latent
 
 
@@ -130,17 +155,7 @@ def ct_centroid_grad(
     """
     if config.variant != "ct":
         raise ValueError(f"ct_centroid_grad called with variant {config.variant!r}")
-    diff, d = _pairwise(latent, centroids)
-    b = d.shape[0]
-    alpha = float(config.alpha)
-    d_floor = np.maximum(d, config.epsilon)
-    w = _row_softmax(-alpha * np.log(d_floor))
-    per_sample = np.einsum("bk,bk->b", d, w)
-    coef = w * (d - per_sample[:, None]) / d_floor * (d > config.epsilon)
-    return (
-        -2.0 * np.einsum("bk,bkl->kl", w, diff)
-        + 2.0 * alpha * np.einsum("bk,bkl->kl", coef, diff)
-    ) / b
+    return _weighted_distance(latent, centroids, config, centroid_grad=True)[2]
 
 
 def dkm_loss(
@@ -151,22 +166,7 @@ def dkm_loss(
     """Softmax-weighted distance loss with gradients for latents AND centroids."""
     if config.variant != "dkm":
         raise ValueError(f"dkm_loss called with variant {config.variant!r}")
-    diff, d = _pairwise(latent, centroids)
-    b = d.shape[0]
-    alpha = float(config.alpha)
-    g = _row_softmax(-alpha * d)
-    per_sample = np.einsum("bk,bk->b", d, g)
-    value = float(per_sample.sum() / b)
-    coef = g * (d - per_sample[:, None])
-    grad_latent = (
-        2.0 * np.einsum("bk,bkl->bl", g, diff)
-        - 2.0 * alpha * np.einsum("bk,bkl->bl", coef, diff)
-    ) / b
-    grad_centroids = (
-        -2.0 * np.einsum("bk,bkl->kl", g, diff)
-        + 2.0 * alpha * np.einsum("bk,bkl->kl", coef, diff)
-    ) / b
-    return value, grad_latent, grad_centroids
+    return _weighted_distance(latent, centroids, config, centroid_grad=True)
 
 
 def dcn_penalty(

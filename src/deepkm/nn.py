@@ -230,10 +230,14 @@ def _run_layers(
     for layer in layers:
         if inputs is not None:
             inputs.append(x)
-        pre = x @ layer.weight + layer.bias
+        pre = x @ layer.weight
+        pre += layer.bias
         if pres is not None:
             pres.append(pre)
-        x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        if layer.activation == "relu":
+            # In place, unless pre is kept for backward.
+            pre = np.maximum(pre, 0.0, out=None if pres is not None else pre)
+        x = pre
     return x
 
 

@@ -7,6 +7,7 @@ with an explicit message when no IDX files are available (point
 ``DEEPKM_MNIST`` at a directory holding them to enable).
 """
 
+import dataclasses
 import json
 import time
 
@@ -16,13 +17,7 @@ import pytest
 from deepkm.clustering import assign, kmeans
 from deepkm.cli import emit_report
 from deepkm.data import load_idx, make_blobs
-from deepkm.harness import (
-    TrainConfig,
-    run_baseline_aekm,
-    run_dkm,
-    run_ours,
-    run_ours_norein,
-)
+from deepkm.harness import TrainConfig, run_method
 from deepkm.losses import (
     LossConfig,
     combined_objective,
@@ -244,7 +239,7 @@ def test_criterion_4_alternation_mechanics():
     )
 
     seen = {}
-    run_ours(data, cfg, on_batch=lambda e, b, c: seen.setdefault(e, []).append(c))
+    run_method(data, cfg, on_batch=lambda e, b, c: seen.setdefault(e, []).append(c))
     for epoch, batches in seen.items():
         for c in batches[1:]:
             assert np.array_equal(c, batches[0]), f"centroids moved inside epoch {epoch}"
@@ -258,7 +253,7 @@ def test_criterion_4_alternation_mechanics():
         method="dkm", k=2, seed=0, pretrain_epochs=1, finetune_epochs=1,
         batch_size=16, lam=1.0, latent_dim=2, hidden_dims=(8,),
     )
-    run_dkm(data, dkm_cfg, on_batch=lambda e, b, c: dkm_seen.append(c))
+    run_method(data, dkm_cfg, on_batch=lambda e, b, c: dkm_seen.append(c))
     per_batch_moves = sum(
         not np.array_equal(a, b) for a, b in zip(dkm_seen, dkm_seen[1:])
     )
@@ -268,8 +263,8 @@ def test_criterion_4_alternation_mechanics():
         method="ours", k=2, seed=3, pretrain_epochs=2, finetune_epochs=0,
         batch_size=16, lam=0.0, latent_dim=2, hidden_dims=(8,),
     )
-    collapsed = run_ours(data, degen)
-    baseline = run_baseline_aekm(data, degen)
+    collapsed = run_method(data, degen)
+    baseline = run_method(data, dataclasses.replace(degen, method="aekm"))
     assert np.array_equal(collapsed.assignment, baseline.assignment)
     assert np.array_equal(collapsed.centroids, baseline.centroids)
 
@@ -296,13 +291,13 @@ def test_criterion_5_desk_scale_ablation():
     scores = {"ours": [], "aekm": [], "ours_norein": []}
     for seed in seeds:
         scores["ours"].append(
-            run_ours(data, TrainConfig(method="ours", seed=seed, **base)).metrics.nmi
+            run_method(data, TrainConfig(method="ours", seed=seed, **base)).metrics.nmi
         )
         scores["aekm"].append(
-            run_baseline_aekm(data, TrainConfig(method="aekm", seed=seed, **base)).metrics.nmi
+            run_method(data, TrainConfig(method="aekm", seed=seed, **base)).metrics.nmi
         )
         scores["ours_norein"].append(
-            run_ours_norein(
+            run_method(
                 data, TrainConfig(method="ours_norein", seed=seed, **base)
             ).metrics.nmi
         )
@@ -335,8 +330,8 @@ def mnist_runs():
     )
     runs = []
     for seed in (0, 1, 2):
-        ours = run_ours(data, TrainConfig(method="ours", seed=seed, **base))
-        aekm = run_baseline_aekm(data, TrainConfig(method="aekm", seed=seed, **base))
+        ours = run_method(data, TrainConfig(method="ours", seed=seed, **base))
+        aekm = run_method(data, TrainConfig(method="aekm", seed=seed, **base))
         runs.append((seed, ours, aekm))
     return runs
 
@@ -378,8 +373,8 @@ def test_criterion_7_emitted_json_determinism(tmp_path):
         method="ours", k=2, seed=9, pretrain_epochs=1, finetune_epochs=2,
         batch_size=16, latent_dim=2, hidden_dims=(6,),
     )
-    paths_a = emit_report(run_ours(data, cfg), tmp_path / "a")
-    paths_b = emit_report(run_ours(data, cfg), tmp_path / "b")
+    paths_a = emit_report(run_method(data, cfg), tmp_path / "a")
+    paths_b = emit_report(run_method(data, cfg), tmp_path / "b")
 
     raw_a = paths_a[0].read_text().splitlines()
     raw_b = paths_b[0].read_text().splitlines()

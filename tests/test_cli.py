@@ -17,7 +17,7 @@ from deepkm.cli import (
     write_projection,
 )
 from deepkm.data import Dataset, make_blobs
-from deepkm.harness import TrainConfig, run_ours, run_suite
+from deepkm.harness import TrainConfig, run_method, run_suite
 from deepkm.metrics import accuracy
 from helpers import idx_images_bytes, idx_labels_bytes
 
@@ -109,7 +109,7 @@ class TestParseCli:
         assert exp.command == "run"
         assert exp.methods == ["ours"]
         assert exp.seeds == [0]
-        assert exp.lam_explicit is False
+        assert "lam" not in exp.overrides
 
     def test_flags_collected(self):
         exp = parse_cli([
@@ -123,12 +123,13 @@ class TestParseCli:
         assert exp.overrides["lam"] == 2.5
         assert exp.overrides["finetune_epochs"] == 4
         assert exp.overrides["hidden_dims"] == (16, 8)
-        assert exp.lam_explicit is True
+        assert "lam" in exp.overrides
 
     def test_lambda_default_tracks_method(self):
         exp = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "dkm"])
-        assert _effective_config(exp, "dkm", 0).lam == 1.0
-        assert _effective_config(exp, "ours", 0).lam == 10.0
+        assert _effective_config(exp).effective_lam == 1.0
+        exp = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "ours"])
+        assert _effective_config(exp).effective_lam == 10.0
 
     def test_suite_lists(self):
         exp = parse_cli([
@@ -175,7 +176,7 @@ class TestParseCli:
         assert exp.methods == ["km", "dcn"]
         assert exp.seeds == [4, 5]
         assert exp.overrides["lam"] == 1.5
-        assert exp.lam_explicit is True
+        assert "lam" in exp.overrides
         assert exp.out_dir == "somewhere"
 
     def test_flags_override_config_file(self, tmp_path):
@@ -202,9 +203,9 @@ def emitted(tmp_path_factory):
     data = make_blobs(20, 2, 4, separation=10.0, noise_sigma=1.0, seed=0)
     cfg = TrainConfig(
         method="ours", k=2, seed=1, pretrain_epochs=1, finetune_epochs=3,
-        batch_size=16, latent_dim=2, hidden_dims=(6,),
+        batch_size=16, lam=10.0, latent_dim=2, hidden_dims=(6,),
     )
-    report = run_ours(data, cfg)
+    report = run_method(data, cfg)
     out = tmp_path_factory.mktemp("emit")
     paths = emit_report(report, out)
     return data, cfg, report, out, paths

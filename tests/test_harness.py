@@ -1,5 +1,6 @@
 """Training-loop behavior: seeding, centroid schedules, aggregation."""
 
+import dataclasses
 import json
 import warnings
 
@@ -15,13 +16,7 @@ from deepkm.harness import (
     TrainConfig,
     default_lambda,
     pretrain,
-    run_baseline_aekm,
-    run_baseline_km,
-    run_dcn,
-    run_dkm,
     run_method,
-    run_ours,
-    run_ours_norein,
     run_suite,
 )
 
@@ -100,7 +95,7 @@ class TestPretrain:
 class TestRunReports:
     def test_series_lengths_and_shapes(self, small_blobs):
         cfg = tiny_config(pretrain_epochs=2, finetune_epochs=4)
-        report = run_ours(small_blobs, cfg)
+        report = run_method(small_blobs, cfg)
         assert len(report.pretrain_losses) == 2
         assert len(report.reconstruction_losses) == 4
         assert len(report.clustering_losses) == 4
@@ -112,7 +107,7 @@ class TestRunReports:
 
     def test_unlabeled_data_skips_metrics(self, small_blobs):
         unlabeled = Dataset(small_blobs.features.copy(), name="anon")
-        report = run_ours(unlabeled, tiny_config(finetune_epochs=1))
+        report = run_method(unlabeled, tiny_config(finetune_epochs=1))
         assert report.metrics is None
 
     def test_every_method_dispatches(self, small_blobs):
@@ -124,15 +119,15 @@ class TestRunReports:
 
     def test_json_dict_is_plain_and_stable(self, small_blobs):
         cfg = tiny_config(finetune_epochs=2)
-        a = run_ours(small_blobs, cfg).to_json_dict()
-        b = run_ours(small_blobs, cfg).to_json_dict()
+        a = run_method(small_blobs, cfg).to_json_dict()
+        b = run_method(small_blobs, cfg).to_json_dict()
         json.dumps(a)  # must not contain numpy scalars or arrays
         a.pop("wall_clock")
         b.pop("wall_clock")
         assert a == b
 
     def test_latents_never_serialized(self, small_blobs):
-        report = run_ours(small_blobs, tiny_config(finetune_epochs=1))
+        report = run_method(small_blobs, tiny_config(finetune_epochs=1))
         assert "latents" not in report.to_json_dict()
 
     @pytest.mark.parametrize("method,encodes", [("ours", 4), ("dkm_rein", 4), ("ours_norein", 2)])
@@ -158,7 +153,7 @@ class TestRunReports:
     def test_unconverged_kmeans_warns(self, small_blobs):
         cfg = tiny_config(kmeans_max_iters=1, kmeans_tol=0.0)
         with pytest.warns(RuntimeWarning) as record:
-            run_ours(small_blobs, cfg)
+            run_method(small_blobs, cfg)
         messages = [str(w.message) for w in record]
         assert any("ours: K-means initial fit stopped at 1 iterations" in m for m in messages)
         assert any("ours: K-means refit at epoch 2 stopped at 1 iterations" in m
@@ -167,7 +162,7 @@ class TestRunReports:
     def test_converged_kmeans_is_silent(self, small_blobs):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            run_ours(small_blobs, tiny_config())
+            run_method(small_blobs, tiny_config())
 
 
 class TestCentroidSchedules:
@@ -176,15 +171,15 @@ class TestCentroidSchedules:
         # the refresh, so the whole pipeline replays the pretrain+kmeans
         # baseline bit for bit
         cfg = tiny_config(lam=0.0, finetune_epochs=0, pretrain_epochs=2)
-        ours = run_ours(small_blobs, cfg)
-        base = run_baseline_aekm(small_blobs, cfg)
+        ours = run_method(small_blobs, cfg)
+        base = run_method(small_blobs, dataclasses.replace(cfg, method="aekm"))
         assert np.array_equal(ours.assignment, base.assignment)
         assert np.array_equal(ours.centroids, base.centroids)
 
     def test_norein_centroids_never_move(self, small_blobs):
         seen = []
-        report = run_ours_norein(
-            small_blobs, tiny_config(finetune_epochs=3),
+        report = run_method(
+            small_blobs, tiny_config(method="ours_norein", finetune_epochs=3),
             on_batch=lambda e, b, c: seen.append(c),
         )
         for c in seen[1:]:
@@ -193,7 +188,7 @@ class TestCentroidSchedules:
 
     def test_refresh_moves_centroids_only_at_epoch_boundaries(self, small_blobs):
         seen = {}
-        run_ours(
+        run_method(
             small_blobs, tiny_config(finetune_epochs=3),
             on_batch=lambda e, b, c: seen.setdefault(e, []).append(c),
         )
@@ -205,7 +200,7 @@ class TestCentroidSchedules:
 
     def test_jointly_trained_centroids_move_every_batch(self, small_blobs):
         seen = []
-        run_dkm(
+        run_method(
             small_blobs, tiny_config(method="dkm", lam=1.0, finetune_epochs=1),
             on_batch=lambda e, b, c: seen.append(c),
         )
@@ -214,7 +209,7 @@ class TestCentroidSchedules:
 
     def test_lam_zero_freezes_jointly_trained_centroids(self, small_blobs):
         seen = []
-        run_dkm(
+        run_method(
             small_blobs, tiny_config(method="dkm", lam=0.0, finetune_epochs=2),
             on_batch=lambda e, b, c: seen.append(c),
         )
@@ -223,7 +218,7 @@ class TestCentroidSchedules:
 
     def test_running_mean_centroids_track_assigned_latents(self, small_blobs):
         seen = []
-        report = run_dcn(
+        report = run_method(
             small_blobs, tiny_config(method="dcn", lam=0.1, finetune_epochs=2),
             on_batch=lambda e, b, c: seen.append(c),
         )
@@ -237,14 +232,14 @@ class TestCentroidSchedules:
 class TestTrainingProgress:
     def test_finetuning_improves_the_joint_objective(self, small_blobs):
         cfg = tiny_config(method="dcn", lam=0.1, pretrain_epochs=3, finetune_epochs=8)
-        report = run_dcn(small_blobs, cfg)
+        report = run_method(small_blobs, cfg)
         first = report.reconstruction_losses[0] + cfg.lam * report.clustering_losses[0]
         last = report.reconstruction_losses[-1] + cfg.lam * report.clustering_losses[-1]
         assert last < first
 
     def test_km_recovers_separated_blobs(self):
         data = make_blobs(30, 3, 5, separation=20.0, noise_sigma=1.0, seed=7)
-        report = run_baseline_km(data, tiny_config(method="km", k=3))
+        report = run_method(data, tiny_config(method="km", k=3))
         assert report.metrics.acc == 1.0
 
     def test_aekm_matches_km_on_easy_data_through_a_linear_code(self):
@@ -255,8 +250,8 @@ class TestTrainingProgress:
             method="aekm", k=3, seed=1, pretrain_epochs=20, finetune_epochs=0,
             batch_size=25, latent_dim=4, hidden_dims=(),
         )
-        ae = run_baseline_aekm(data, cfg)
-        km = run_baseline_km(data, cfg)
+        ae = run_method(data, cfg)
+        km = run_method(data, dataclasses.replace(cfg, method="km"))
         assert km.metrics.acc == 1.0
         assert ae.metrics.acc == 1.0
 
@@ -268,8 +263,8 @@ class TestTrainingProgress:
             method="ours", k=4, seed=0, pretrain_epochs=3, finetune_epochs=40,
             batch_size=256, lam=10.0, alpha=3.0, latent_dim=5, hidden_dims=(64, 32),
         )
-        ours = run_ours(data, cfg)
-        base = run_baseline_aekm(data, cfg)
+        ours = run_method(data, cfg)
+        base = run_method(data, dataclasses.replace(cfg, method="aekm"))
         assert ours.metrics.nmi > base.metrics.nmi
 
 
