@@ -247,15 +247,13 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
         "finetune_epochs": args.epochs, "pretrain_epochs": args.pretrain_epochs,
         "batch_size": args.batch_size, "latent_dim": args.latent_dim,
         "optimizer": args.optimizer, "learning_rate": args.learning_rate,
+        "method": getattr(args, "method", None),
     }
     for key, value in flag_map.items():
         if value is not None:
             overrides[key] = value
     if args.hidden_dims is not None:
         overrides["hidden_dims"] = _parse_hidden_dims(args.hidden_dims)
-    method = getattr(args, "method", None)
-    if method is not None:
-        overrides["method"] = method
 
     if args.command == "suite":
         methods = (

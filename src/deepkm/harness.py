@@ -241,13 +241,14 @@ def _finish(
     config: TrainConfig,
     started: float,
     dataset: Dataset,
-    assignment: np.ndarray,
+    latents: np.ndarray,
     centroids: np.ndarray,
     pretrain_losses: list[float],
     recon_losses: list[float],
     clust_losses: list[float],
-    latents: np.ndarray | None = None,
 ) -> RunReport:
+    """The run's report; each point is labelled by its nearest centroid."""
+    assignment = assign(latents, centroids)
     metrics = None if dataset.labels is None else evaluate(assignment, dataset.labels)
     return RunReport(
         method=config.method,
@@ -270,9 +271,7 @@ def _run_km(dataset: Dataset, config: TrainConfig) -> RunReport:
     started = time.perf_counter()
     streams = _seed_streams(config)
     result = _kmeans(dataset.features, config, streams["kmeans0_rng"], "fit")
-    labels = assign(dataset.features, result.centers)
-    return _finish(config, started, dataset, labels, result.centers,
-                   [], [], [], latents=dataset.features)
+    return _finish(config, started, dataset, dataset.features, result.centers, [], [], [])
 
 
 def _finetune(
@@ -340,10 +339,8 @@ def _finetune(
     if epochs and not reinit:
         # Otherwise no step has changed the parameters since the last encode.
         latents = encode_blocks(params, dataset.features)
-    labels = assign(latents, centroids)
     return _finish(
-        config, started, dataset, labels, centroids,
-        pre_losses, recon_losses, clust_losses, latents=latents,
+        config, started, dataset, latents, centroids, pre_losses, recon_losses, clust_losses,
     )
 
 

@@ -329,6 +329,20 @@ class TestMainEndToEnd:
         assert {line.split("\t")[0] for line in table[1:]} == {"km", "aekm"}
         assert len(list(tmp_path.glob("*.json"))) == 4
 
+    @pytest.mark.parametrize("flags,want", [
+        ([], {"dkm": 1.0, "ours": 10.0}),
+        (["--lambda", "2"], {"dkm": 2.0, "ours": 2.0}),
+    ])
+    def test_suite_lambda_per_method(self, tmp_path, capsys, flags, want):
+        code = main([
+            "suite", "--dataset", "blobs:n=10,k=2,dim=3,seed=0",
+            "--methods", "dkm,ours", "--seeds", "0", "--out", str(tmp_path), *FAST, *flags,
+        ])
+        assert code == 0
+        got = {m: json.loads((tmp_path / f"{m}_seed0.json").read_text())["config"]["lam"]
+               for m in want}
+        assert got == want
+
     def test_eval_scores_label_files(self, tmp_path, capsys):
         pred = tmp_path / "pred.txt"
         truth = tmp_path / "truth.txt"

@@ -68,6 +68,21 @@ class TestTrainConfig:
         assert default_lambda("ours") == 10.0
         assert default_lambda("dcn") == 10.0
 
+    def test_unset_lam_means_the_methods_default(self):
+        assert TrainConfig(method="dkm").lam is None
+        assert TrainConfig(method="dkm").effective_lam == 1.0
+        assert TrainConfig(method="ours").effective_lam == 10.0
+        assert TrainConfig(method="dkm", lam=2.5).effective_lam == 2.5
+        assert TrainConfig(method="dkm", lam=0.0).effective_lam == 0.0
+
+    def test_unset_lam_runs_as_the_explicit_default(self, small_blobs):
+        unset = run_method(small_blobs, tiny_config(method="dkm", lam=None)).to_json_dict()
+        explicit = run_method(small_blobs, tiny_config(method="dkm", lam=1.0)).to_json_dict()
+        unset.pop("wall_clock")
+        explicit.pop("wall_clock")
+        assert unset == explicit
+        assert unset["config"]["lam"] == 1.0
+
 
 class TestPretrain:
     def test_zero_epochs_is_deterministic_init(self, small_blobs):
@@ -307,6 +322,30 @@ class TestSuite:
         method, seed, message = suite.failures[0]
         assert method == "km" and seed == 0
         assert "ValueError" in message
+
+    def test_unset_lam_gives_each_method_its_default(self, small_blobs):
+        base = tiny_config(lam=None, finetune_epochs=1)
+        suite = run_suite(small_blobs, base, seeds=[0], methods=["dkm", "ours"])
+        assert {r.method: r.config["lam"] for r in suite.reports} == {"dkm": 1.0, "ours": 10.0}
+        assert base.lam is None
+
+    @pytest.mark.parametrize("error", [ValueError, FloatingPointError, np.linalg.LinAlgError])
+    def test_numerical_and_data_failures_recorded(self, small_blobs, monkeypatch, error):
+        def failing(dataset, config, on_batch=None):
+            raise error("diverged")
+
+        monkeypatch.setattr(harness, "run_method", failing)
+        suite = run_suite(small_blobs, tiny_config(), seeds=[0], methods=["km"])
+        assert suite.failures == [("km", 0, f"{error.__name__}: diverged")]
+
+    @pytest.mark.parametrize("error", [TypeError, AttributeError, KeyError])
+    def test_programming_errors_propagate(self, small_blobs, monkeypatch, error):
+        def broken(dataset, config, on_batch=None):
+            raise error("bug in the method lookup")
+
+        monkeypatch.setattr(harness, "run_method", broken)
+        with pytest.raises(error, match="bug in the method lookup"):
+            run_suite(small_blobs, tiny_config(), seeds=[0], methods=["km"])
 
     def test_requires_labels(self, small_blobs):
         unlabeled = Dataset(small_blobs.features.copy())

@@ -368,3 +368,62 @@ class TestCombinedObjective:
         for name, arr in iter_param_arrays(params):
             numeric = num_grad_inplace(total, arr)
             assert grads_close(grads[name], numeric), name
+
+
+def _reference_weighted(latent, centroids, alpha, epsilon=None):
+    """ct_loss + ct_centroid_grad (epsilon given) or dkm_loss (epsilon
+    None) as the separate copies they were before sharing one core:
+    (value, d/dz, d/dc)."""
+    diff = latent[:, None, :] - centroids[None, :, :]
+    d = np.einsum("bkl,bkl->bk", diff, diff)
+    b = d.shape[0]
+    if epsilon is None:
+        logits = -alpha * d
+    else:
+        d_floor = np.maximum(d, epsilon)
+        logits = -alpha * np.log(d_floor)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    s = np.einsum("bk,bk->b", d, w)
+    if epsilon is None:
+        coef = w * (d - s[:, None])
+    else:
+        coef = w * (d - s[:, None]) / d_floor * (d > epsilon)
+    return (
+        float(s.sum() / b),
+        (2.0 * np.einsum("bk,bkl->bl", w, diff)
+         - 2.0 * alpha * np.einsum("bk,bkl->bl", coef, diff)) / b,
+        (-2.0 * np.einsum("bk,bkl->kl", w, diff)
+         + 2.0 * alpha * np.einsum("bk,bkl->kl", coef, diff)) / b,
+    )
+
+
+class TestOneCoreBits:
+    def test_matches_the_separate_copies_bitwise(self):
+        rng = np.random.default_rng(2024)
+        for case in range(300):
+            b, k, dim = (int(v) for v in rng.integers(1, [301, 13, 13]))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            latent = rng.standard_normal((b, dim)) * scale
+            centroids = rng.standard_normal((k, dim)) * scale
+            if case % 3 == 0:  # points sitting exactly on a centroid
+                on = rng.integers(0, b, size=max(1, b // 4))
+                latent[on] = centroids[rng.integers(0, k, size=on.size)]
+            alpha = float(rng.uniform(0.5, 5.0))
+            ct = LossConfig(variant="ct", alpha=alpha)
+            dkm = LossConfig(variant="dkm", alpha=alpha / scale**2)
+            got = {
+                "ct": (*ct_loss(latent, centroids, ct), ct_centroid_grad(latent, centroids, ct)),
+                "dkm": dkm_loss(latent, centroids, dkm),
+            }
+            want = {
+                "ct": _reference_weighted(latent, centroids, ct.alpha, ct.epsilon),
+                "dkm": _reference_weighted(latent, centroids, dkm.alpha),
+            }
+            for variant in got:
+                for name, g, w in zip(("value", "d/dz", "d/dc"), got[variant], want[variant]):
+                    assert np.array_equal(g, w), f"case {case}: {variant} {name}"
+
+    def test_shape_mismatch_still_rejected(self):
+        with pytest.raises(ValueError, match="not compatible 2-d arrays"):
+            ct_loss(np.zeros((3, 2)), np.zeros((2, 3)), LossConfig())

@@ -131,6 +131,50 @@ class TestEncodeDecode:
             decode(params, np.zeros((3, 3)))
 
 
+def reference_layers(layers, x):
+    """The forward formula before in-place bias and ReLU: (outputs, pres)."""
+    pres = []
+    for layer in layers:
+        pre = x @ layer.weight + layer.bias
+        pres.append(pre)
+        x = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+    return x, pres
+
+
+class TestInPlaceForwardBits:
+    """Adding the bias and applying the ReLU in place keeps every bit."""
+
+    @pytest.fixture(scope="class")
+    def paper_net(self):
+        enc, dec = mirrored_spec(784, 10, (500, 500, 2000))
+        params = init_autoencoder(enc, dec, seed=3)
+        rows = np.random.default_rng(4).random((300, 784))
+        return params, rows
+
+    def test_encode_and_encode_blocks(self, paper_net):
+        params, rows = paper_net
+        want, _ = reference_layers(params.encoder, rows)
+        np.testing.assert_array_equal(encode(params, rows), want)
+        np.testing.assert_array_equal(nn.encode_blocks(params, rows), want)
+        # row blocks of another height may round differently in BLAS, so
+        # the reference runs over the same blocks
+        blocked = np.vstack([reference_layers(params.encoder, rows[i : i + 128])[0]
+                             for i in range(0, rows.shape[0], 128)])
+        np.testing.assert_array_equal(nn.encode_blocks(params, rows, block=128), blocked)
+
+    def test_forward_keeps_pre_activations_for_backward(self, paper_net):
+        params, rows = paper_net
+        batch = rows[:256]
+        latent, enc_pre = reference_layers(params.encoder, batch)
+        recon, dec_pre = reference_layers(params.decoder, latent)
+        cache = forward(params, batch)
+        np.testing.assert_array_equal(cache.latent, latent)
+        np.testing.assert_array_equal(cache.reconstruction, recon)
+        for got, want in zip(cache.encoder_pre + cache.decoder_pre, enc_pre + dec_pre):
+            np.testing.assert_array_equal(got, want)
+        assert len(cache.encoder_pre + cache.decoder_pre) == 8
+
+
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         params = tiny_net(seed=1)
