@@ -5,6 +5,8 @@ shows the loader guarantees (pixel scaling, label attachment, header
 skipping, min-max scaling).
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import numpy as np
 from deepkm.data import Dataset, load_delimited, load_idx, save_idx
 
 workdir = Path(tempfile.mkdtemp(prefix="deepkm-demo-"))
-print(f"working in {workdir}\n")
+atexit.register(shutil.rmtree, workdir, ignore_errors=True)
+print(f"working in {workdir} (removed on exit)\n")
 
 # --- IDX: the classic big-endian image format ---------------------------
 rng = np.random.default_rng(0)

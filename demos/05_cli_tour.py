@@ -8,12 +8,15 @@ The same grammar works from a shell once the package is installed:
     deepkm project --dataset ... --method ours
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
 from deepkm.cli import main
 
 out = Path(tempfile.mkdtemp(prefix="deepkm-cli-"))
+atexit.register(shutil.rmtree, out, ignore_errors=True)
 dataset = "blobs:n=60,k=3,dim=10,sep=8.0,seed=1"
 fast = ["--pretrain-epochs", "2", "--epochs", "3", "--batch-size", "32",
         "--latent-dim", "3", "--hidden-dims", "16", "--k", "3"]
@@ -39,4 +42,4 @@ print("first projection rows:")
 for line in head:
     print(" ", line)
 
-print(f"\nall artifacts under {out}")
+print(f"\nartifacts were written under {out}, which is removed on exit")

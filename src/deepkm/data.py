@@ -20,6 +20,21 @@ class IdxFormatError(ValueError):
     """Malformed IDX content; messages point at the byte offset."""
 
 
+def integer_labels(values, what: str = "labels") -> np.ndarray:
+    """``values`` as int64. Integral floats such as 2.0 are accepted; a
+    ValueError names the first entry that is not a finite integer."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iub":
+        values = np.asarray(values, dtype=np.float64)
+        whole = np.isfinite(values) & (values == np.rint(values))
+        if not whole.all():
+            index = int(np.argmin(whole.ravel()))
+            raise ValueError(
+                f"{what} must be integers; entry {index} is {float(values.ravel()[index])}"
+            )
+    return values.astype(np.int64)
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # (N, m) float64
@@ -35,7 +50,7 @@ class Dataset:
         if not np.isfinite(self.features).all():
             raise ValueError("features contain non-finite values")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = integer_labels(self.labels)
             if self.labels.shape != (self.features.shape[0],):
                 raise ValueError(
                     f"labels shape {self.labels.shape} does not match "

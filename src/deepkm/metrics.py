@@ -4,6 +4,20 @@ Cluster ids carry no meaning, so accuracy maximizes agreement over
 one-to-one mappings between predicted clusters and true labels, solved
 as a min-cost assignment on the negated contingency table. NMI is
 2*I(C;Y) / (H(C)+H(Y)) with natural-log entropies; 0/0 is defined as 0.
+
+The assignment is the shortest-augmenting-path algorithm of Crouse ("On
+implementing 2D rectangular assignment algorithms", IEEE TAES 2016), the
+one behind ``scipy.optimize.linear_sum_assignment``, ported to numpy with
+scipy's exact rules: each row's Dijkstra scan visits the remaining
+columns in scipy's order (all columns in reverse at the start, a picked
+column swapped out for the last one), among equal path costs it takes
+the last unassigned column in that order, else the first column, and
+the duals are updated and the path augmented in scipy's order. So the
+permutation is the one scipy returns, ties included. Each scan step is
+a handful of numpy calls: about 0.4 ms for a 10x10 table. Large sides
+cost more than scipy's compiled loop: side 1000 takes about 0.11 s on a
+table of 20,000 random labels (scipy 0.01 s), and a structured cost such
+as i*j, which forces long scans, about 14 s (scipy 0.9 s).
 """
 
 from __future__ import annotations
@@ -11,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+from .data import integer_labels
 
 
 @dataclass
@@ -22,8 +37,8 @@ class MetricsReport:
 
 
 def _check_labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    pred = integer_labels(pred, "predicted labels")
+    truth = integer_labels(truth, "true labels")
     if pred.ndim != 1 or truth.ndim != 1:
         raise ValueError("label arrays must be 1-d")
     if pred.shape[0] != truth.shape[0]:
@@ -34,7 +49,7 @@ def _check_labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one point")
     if pred.min() < 0 or truth.min() < 0:
         raise ValueError("labels must be non-negative integers")
-    return pred.astype(np.int64), truth.astype(np.int64)
+    return pred, truth
 
 
 def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -54,10 +69,71 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise ValueError(f"cost must be square, got shape {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(cost.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    return perm
+    return _shortest_augmenting_path(cost)
+
+
+def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
+    """Crouse's algorithm on a finite square cost, row by row: a Dijkstra
+    scan from the row to the nearest unassigned column over reduced costs,
+    a dual update, then augmentation along the path found."""
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1, dtype=np.int64)
+    col4row = np.full(n, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
+    reversed_cols = np.arange(n - 1, -1, -1)  # scan order: a constant cost gives the identity
+    remaining = np.empty(n, dtype=np.int64)
+    shortest = np.empty(n)
+    scanned_rows = np.empty(n, dtype=bool)
+    scanned_cols = np.empty(n, dtype=bool)
+    for row in range(n):
+        remaining[:] = reversed_cols
+        num_remaining = n
+        shortest.fill(np.inf)
+        scanned_rows.fill(False)
+        scanned_cols.fill(False)
+        min_val = 0.0
+        i = row
+        sink = -1
+        while sink == -1:
+            scanned_rows[i] = True
+            cols = remaining[:num_remaining]
+            reduced = min_val + cost[i, cols] - u[i] - v[cols]
+            known = shortest[cols]
+            closer = reduced < known
+            path[cols[closer]] = i
+            np.copyto(known, reduced, where=closer)
+            shortest[cols] = known
+            min_val = known.min()
+            if not np.isfinite(min_val):
+                raise ValueError("cost matrix entries overflow float64 in the reduced costs")
+            # Among equal path costs: the last unassigned column, else the first.
+            ties = np.flatnonzero(known == min_val)
+            free = ties[row4col[cols[ties]] == -1]
+            index = int(free[-1]) if free.size else int(ties[0])
+            j = int(cols[index])
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = int(row4col[j])
+            scanned_cols[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+
+        u[row] += min_val
+        scanned_rows[row] = False
+        u[scanned_rows] += min_val - shortest[col4row[scanned_rows]]
+        v[scanned_cols] -= min_val - shortest[scanned_cols]
+
+        j = sink
+        while True:
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == row:
+                break
+    return col4row
 
 
 def accuracy(pred, truth) -> tuple[float, dict[int, int]]:

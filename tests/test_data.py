@@ -1,6 +1,7 @@
 """Loader round-trips against hand-built byte fixtures and known tables."""
 
 import gzip
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,25 @@ class TestDataset:
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), labels=[0, -1])
+
+    def test_rejects_fractional_labels(self):
+        # these were once truncated silently to [0, 1, 2]
+        with pytest.raises(ValueError, match="entry 0 is 0.5"):
+            Dataset(np.zeros((3, 2)), np.array([0.5, 1.7, 2.9]))
+        with pytest.raises(ValueError, match="entry 2 is 2.5"):
+            Dataset(np.zeros((3, 2)), np.array([0.0, 1.0, 2.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_labels(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning before the error
+            with pytest.raises(ValueError, match="must be integers; entry 1"):
+                Dataset(np.zeros((3, 2)), np.array([0.0, bad, 1.0]))
+
+    def test_accepts_integral_float_labels(self):
+        ds = Dataset(np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [0, 2, 1]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 import deepkm.harness as harness
 from deepkm.clustering import assign
 from deepkm.data import Dataset, make_blobs
+from deepkm.nn import encode_blocks, init_autoencoder, mirrored_spec
 from deepkm.harness import (
     METHODS,
     RunReport,
@@ -242,6 +243,41 @@ class TestCentroidSchedules:
         for prev, cur in zip(seen, seen[1:]):
             assert not np.array_equal(prev, cur)
         assert np.array_equal(report.centroids, seen[-1])
+
+
+def numpy_row_running_means(latent, assignment, centroids, counts):
+    """The dcn update as numpy row operations, one sample at a time."""
+    centroids = centroids.copy()
+    for i in range(latent.shape[0]):
+        c = assignment[i]
+        counts[c] += 1.0
+        centroids[c] -= (centroids[c] - latent[i]) / counts[c]
+    return centroids
+
+
+class TestDcnCenterUpdate:
+    @pytest.mark.parametrize("batch_size", [1, 2, 37, 256])
+    def test_equals_numpy_row_loop(self, batch_size):
+        enc, dec = mirrored_spec(6, 5, (8,))
+        params = init_autoencoder(enc, dec, 3)
+        rng = np.random.default_rng(batch_size)
+        for draw in range(5):
+            batch = rng.standard_normal((batch_size, 6))
+            # draw 0 sends every sample to one cluster
+            k = 1 if draw == 0 else 4
+            assignment = rng.integers(0, k, size=batch_size)
+            centroids = rng.standard_normal((4, 5)) * 10.0 ** draw
+            counts = rng.integers(1, 50, size=4).astype(np.float64)
+            want_counts = counts.copy()
+            want = numpy_row_running_means(
+                encode_blocks(params, batch), assignment, centroids, want_counts
+            )
+            before = centroids.copy()
+            got = harness._dcn_center_update(params, batch, assignment, centroids, counts)
+            assert np.array_equal(got, want)
+            assert got.dtype == np.float64 and got.shape == (4, 5)
+            assert np.array_equal(counts, want_counts)  # updated in place
+            assert np.array_equal(centroids, before)  # the input is not written
 
 
 class TestTrainingProgress:

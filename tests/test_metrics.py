@@ -1,10 +1,46 @@
 """Scores checked against exhaustive matching and plug-in entropy formulas."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deepkm.metrics import MetricsReport, accuracy, contingency_table, evaluate, hungarian, nmi
 from helpers import brute_force_accuracy, brute_force_min_assignment, nmi_direct
+
+
+def scipy_assignment(cost):
+    """scipy's column for each row: the oracle ``hungarian`` must equal."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rows, cols = optimize.linear_sum_assignment(cost)
+    assert np.array_equal(rows, np.arange(cost.shape[0]))
+    return cols
+
+
+def oracle_corpus(count, seed=0):
+    """Square costs of sides 1-40, four kinds in turn: normal draws,
+    small integers with many ties, sparse 0/-1, and negated contingency
+    tables padded to square from kp != kt clusters and labels."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        side = int(rng.integers(1, 41))
+        kind = case % 4
+        if kind == 0:
+            yield rng.standard_normal((side, side))
+        elif kind == 1:
+            yield rng.integers(-3, 4, size=(side, side)).astype(np.float64)
+        elif kind == 2:
+            yield -(rng.random((side, side)) < 0.2).astype(np.float64)
+        else:
+            kp, kt = rng.integers(1, side + 1, size=2)
+            points = int(rng.integers(1, 10 * side + 1))
+            counts = contingency_table(rng.integers(0, kp, points), rng.integers(0, kt, points))
+            padded = np.zeros((side, side))
+            padded[: counts.shape[0], : counts.shape[1]] = counts
+            yield -padded
 
 
 class TestContingency:
@@ -47,6 +83,54 @@ class TestHungarian:
         cost = np.array([[0.0, np.inf], [1.0, 0.0]])
         with pytest.raises(ValueError):
             hungarian(cost)
+
+    def test_rejects_costs_that_overflow(self):
+        # finite entries whose reduced costs exceed float64's range
+        cost = np.array([[-1e308, -1.7e308], [0.0, -1.7e308]])
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflow"):
+            hungarian(cost)
+
+    def test_empty_and_single(self):
+        assert hungarian(np.zeros((0, 0))).tolist() == []
+        assert hungarian(np.array([[5.0]])).tolist() == [0]
+
+    def test_constant_cost_gives_identity(self):
+        assert hungarian(np.zeros((6, 6))).tolist() == list(range(6))
+
+
+class TestHungarianEqualsScipy:
+    """The port follows scipy's scan order, tie rule and dual updates, so
+    it returns scipy's permutation exactly, ties included."""
+
+    def test_seeded_corpus(self):
+        cases = 0
+        for cost in oracle_corpus(5000):
+            got = hungarian(cost)
+            want = scipy_assignment(cost)
+            assert np.array_equal(got, want), cost.tolist()
+            cases += 1
+        assert cases == 5000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda side: arrays(np.int64, (side, side), elements=st.integers(-2, 2))))
+    def test_small_integer_costs(self, cost):
+        cost = cost.astype(np.float64)
+        assert np.array_equal(hungarian(cost), scipy_assignment(cost))
+
+    def test_accuracy_matching_is_scipys(self):
+        # the mapping in every report is the matching scipy would give
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            pred = rng.integers(0, 6, size=30)
+            truth = rng.integers(0, 4, size=30)
+            counts = contingency_table(pred, truth)
+            side = max(counts.shape)
+            padded = np.zeros((side, side))
+            padded[: counts.shape[0], : counts.shape[1]] = counts
+            want = scipy_assignment(-padded)
+            _, mapping = accuracy(pred, truth)
+            assert mapping == {i: int(want[i]) for i in range(counts.shape[0])}
 
 
 class TestAccuracy:
@@ -105,6 +189,24 @@ class TestAccuracy:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             accuracy([], [])
+
+    def test_rejects_fractional_labels(self):
+        # these once truncated silently to [0, 1, 1] and scored 1.0
+        with pytest.raises(ValueError, match="entry 0 is 0.5"):
+            evaluate([0.5, 1.7, 1.2], [0, 1, 1])
+        with pytest.raises(ValueError, match="true labels .* entry 2 is 1.5"):
+            evaluate([0, 1, 1], [0, 1, 1.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_labels(self, bad):
+        # no cast warning first, and no misleading "non-negative" message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be integers; entry 1"):
+                accuracy([0, bad, 1], [0, 1, 1])
+
+    def test_accepts_integral_floats(self):
+        assert evaluate([0.0, 1.0, 2.0], [2, 0, 1]) == evaluate([0, 1, 2], [2, 0, 1])
 
 
 class TestNmi:
