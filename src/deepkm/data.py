@@ -30,7 +30,7 @@ def integer_labels(values, what: str = "labels") -> np.ndarray:
         if not whole.all():
             index = int(np.argmin(whole.ravel()))
             raise ValueError(
-                f"{what} must be integers; entry {index} is {float(values.ravel()[index])}"
+                f"non-integer {what}: entry {index} is {float(values.ravel()[index])}"
             )
     return values.astype(np.int64)
 
@@ -230,10 +230,7 @@ def load_delimited(
             raise ValueError(
                 f"label column {label_column} out of range for {table.shape[1]} columns"
             )
-        raw = table[:, col]
-        if not np.all(raw == np.rint(raw)):
-            raise ValueError(f"{path}: label column {label_column} has non-integer values")
-        labels = raw.astype(np.int64)
+        labels = integer_labels(table[:, col], f"labels in {path} column {label_column}")
         table = np.delete(table, col, axis=1)
     if minmax_scale:
         lo = table.min(axis=0)

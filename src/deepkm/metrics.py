@@ -14,10 +14,13 @@ column swapped out for the last one), among equal path costs it takes
 the last unassigned column in that order, else the first column, and
 the duals are updated and the path augmented in scipy's order. So the
 permutation is the one scipy returns, ties included. Each scan step is
-a handful of numpy calls: about 0.4 ms for a 10x10 table. Large sides
-cost more than scipy's compiled loop: side 1000 takes about 0.11 s on a
-table of 20,000 random labels (scipy 0.01 s), and a structured cost such
-as i*j, which forces long scans, about 14 s (scipy 0.9 s).
+a handful of numpy calls, about 0.6 ms for a whole 10x10 table. Large
+sides cost more than scipy's compiled loop (one core, numpy 2.4): side
+300 takes 20 ms on a table of 6,000 random labels (scipy 1.2 ms), side
+1000 0.11 s on 20,000 random labels (scipy 14 ms) and 57 ms on 2M
+skewed ones (scipy 9 ms). A cost that is no contingency table, such as
+i*j, forces long scans: 1.2 s at side 300 and 17 s at side 1000 (scipy
+21 ms and 0.7 s).
 """
 
 from __future__ import annotations

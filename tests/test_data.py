@@ -76,7 +76,7 @@ class TestDataset:
     def test_rejects_non_finite_labels(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cast warning before the error
-            with pytest.raises(ValueError, match="must be integers; entry 1"):
+            with pytest.raises(ValueError, match="non-integer .*labels: entry 1 is"):
                 Dataset(np.zeros((3, 2)), np.array([0.0, bad, 1.0]))
 
     def test_accepts_integral_float_labels(self):
@@ -243,6 +243,12 @@ class TestLoadDelimited:
         p.write_text("1.0,0.5\n2.0,1.0\n")
         with pytest.raises(ValueError, match="non-integer"):
             load_delimited(p, label_column=1)
+
+    def test_infinite_label_rejected_with_its_entry(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("1.0,0\n2.0,1\n3.0,inf\n")
+        with pytest.raises(ValueError, match="column -1: entry 2 is inf"):
+            load_delimited(p, label_column=-1)
 
     def test_label_column_out_of_range(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -194,7 +194,7 @@ class TestAccuracy:
         # these once truncated silently to [0, 1, 1] and scored 1.0
         with pytest.raises(ValueError, match="entry 0 is 0.5"):
             evaluate([0.5, 1.7, 1.2], [0, 1, 1])
-        with pytest.raises(ValueError, match="true labels .* entry 2 is 1.5"):
+        with pytest.raises(ValueError, match="non-integer true labels: entry 2 is 1.5"):
             evaluate([0, 1, 1], [0, 1, 1.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -202,7 +202,7 @@ class TestAccuracy:
         # no cast warning first, and no misleading "non-negative" message
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="must be integers; entry 1"):
+            with pytest.raises(ValueError, match="non-integer .*labels: entry 1 is"):
                 accuracy([0, bad, 1], [0, 1, 1])
 
     def test_accepts_integral_floats(self):
