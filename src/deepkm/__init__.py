@@ -16,7 +16,6 @@ from .harness import (
     RunReport,
     SuiteResult,
     TrainConfig,
-    pretrain,
     run_method,
     run_suite,
 )
@@ -49,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "KMeansResult", "assign", "kmeans", "kmeans_plus_plus_init", "lloyd_step",
     "Dataset", "concat_datasets", "load_delimited", "load_idx", "make_blobs", "save_idx",
-    "METHODS", "RunReport", "SuiteResult", "TrainConfig", "pretrain", "run_method", "run_suite",
+    "METHODS", "RunReport", "SuiteResult", "TrainConfig", "run_method", "run_suite",
     "CombinedResult", "LossConfig", "combined_objective", "ct_loss", "ct_weights",
     "dcn_penalty", "dkm_loss", "dkm_weights",
     "MetricsReport", "accuracy", "evaluate", "hungarian", "nmi",

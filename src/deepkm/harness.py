@@ -209,19 +209,6 @@ def _pretrained(dataset: Dataset, config: TrainConfig) -> tuple[dict, Autoencode
     return streams, params, losses
 
 
-def pretrain(dataset: Dataset, config: TrainConfig,
-             loss_record: list[float] | None = None) -> AutoencoderParams:
-    """Reconstruction-only minibatch training for ``pretrain_epochs``.
-
-    Per-epoch mean losses are appended to ``loss_record`` when given.
-    Zero epochs returns the freshly initialized parameters unchanged.
-    """
-    _, params, losses = _pretrained(dataset, config)
-    if loss_record is not None:
-        loss_record.extend(losses)
-    return params
-
-
 def _kmeans(points: np.ndarray, config: TrainConfig, rng: np.random.Generator,
             when: str) -> KMeansResult:
     """K-means with the run's settings; warns when the fit stopped at

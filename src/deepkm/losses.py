@@ -2,8 +2,8 @@
 
 Three clustering terms share the skeleton "sum of squared distances,
 weighted by a row-stochastic membership matrix". ct and dkm are one
-core, ``_weighted_distance`` (value, d/dz, d/dc), that differs only in
-the logits of its softmax weights (``_weights``):
+core, ``_weighted_distance`` (value, d/dz and, for dkm, d/dc), that
+differs only in the logits of its softmax weights (``_weights``):
 
 * ``ct``  — logits -alpha*log(max(d, eps)), weights proportional to
   d^(-alpha); gradients flow through both the distance factor and the
@@ -74,11 +74,10 @@ def _weighted_distance(
     latent: np.ndarray,
     centroids: np.ndarray,
     config: LossConfig,
-    centroid_grad: bool = False,
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
     """The one core behind ct and dkm: the batch mean of sum_k w_k d_k with
-    w = _weights(d), its gradient for the latents and, when asked for,
-    for the centroids (else None).
+    w = _weights(d), its gradient for the latents and, for dkm, whose
+    centroids are trained, for the centroids (ct: None).
 
     The gradients differentiate through the weights as well as the
     distances. The raw (unfloored) distance multiplies each weight, so a
@@ -103,7 +102,7 @@ def _weighted_distance(
         - 2.0 * alpha * np.einsum("bk,bkl->bl", coef, diff)
     ) / b
     grad_c = None
-    if centroid_grad:
+    if epsilon is None:
         grad_c = (
             -2.0 * np.einsum("bk,bkl->kl", w, diff)
             + 2.0 * alpha * np.einsum("bk,bkl->kl", coef, diff)
@@ -143,21 +142,6 @@ def ct_loss(
     return value, grad_latent
 
 
-def ct_centroid_grad(
-    latent: np.ndarray,
-    centroids: np.ndarray,
-    config: LossConfig,
-) -> np.ndarray:
-    """Gradient of ct_loss w.r.t. the centroids.
-
-    Provided for analysis only; the training loop never applies it —
-    centroids move exclusively via the K-means refresh.
-    """
-    if config.variant != "ct":
-        raise ValueError(f"ct_centroid_grad called with variant {config.variant!r}")
-    return _weighted_distance(latent, centroids, config, centroid_grad=True)[2]
-
-
 def dkm_loss(
     latent: np.ndarray,
     centroids: np.ndarray,
@@ -166,7 +150,7 @@ def dkm_loss(
     """Softmax-weighted distance loss with gradients for latents AND centroids."""
     if config.variant != "dkm":
         raise ValueError(f"dkm_loss called with variant {config.variant!r}")
-    return _weighted_distance(latent, centroids, config, centroid_grad=True)
+    return _weighted_distance(latent, centroids, config)
 
 
 def dcn_penalty(

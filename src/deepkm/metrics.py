@@ -60,9 +60,7 @@ def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     pred, truth = _check_labels(pred, truth)
     kp = int(pred.max()) + 1
     kt = int(truth.max()) + 1
-    counts = np.zeros((kp, kt), dtype=np.int64)
-    np.add.at(counts, (pred, truth), 1)
-    return counts
+    return np.bincount(pred * kt + truth, minlength=kp * kt).reshape(kp, kt)
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
@@ -146,15 +144,17 @@ def accuracy(pred, truth) -> tuple[float, dict[int, int]]:
     one-to-one when cluster and label counts differ; padded rows or
     columns contribute nothing.
     """
-    pred, truth = _check_labels(pred, truth)
-    counts = contingency_table(pred, truth)
+    return _accuracy(contingency_table(pred, truth))
+
+
+def _accuracy(counts: np.ndarray) -> tuple[float, dict[int, int]]:
     side = max(counts.shape)
     padded = np.zeros((side, side), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
     perm = hungarian(-padded.astype(np.float64))
     matched = int(padded[np.arange(side), perm].sum())
     mapping = {i: int(perm[i]) for i in range(counts.shape[0])}
-    return matched / pred.shape[0], mapping
+    return matched / int(counts.sum()), mapping
 
 
 def _entropy(counts: np.ndarray, n: int) -> float:
@@ -165,9 +165,11 @@ def _entropy(counts: np.ndarray, n: int) -> float:
 
 def nmi(pred, truth) -> float:
     """2*I(C;Y) / (H(C)+H(Y)), clipped to [0,1]; 0 when both are constant."""
-    pred, truth = _check_labels(pred, truth)
-    n = pred.shape[0]
-    counts = contingency_table(pred, truth)
+    return _nmi(contingency_table(pred, truth))
+
+
+def _nmi(counts: np.ndarray) -> float:
+    n = int(counts.sum())
     h_pred = _entropy(counts.sum(axis=1), n)
     h_truth = _entropy(counts.sum(axis=0), n)
     denom = h_pred + h_truth
@@ -179,5 +181,7 @@ def nmi(pred, truth) -> float:
 
 
 def evaluate(pred, truth) -> MetricsReport:
-    acc, mapping = accuracy(pred, truth)
-    return MetricsReport(acc=acc, nmi=nmi(pred, truth), mapping=mapping)
+    """Accuracy, its mapping and NMI, from one validation and one table."""
+    counts = contingency_table(pred, truth)
+    acc, mapping = _accuracy(counts)
+    return MetricsReport(acc=acc, nmi=_nmi(counts), mapping=mapping)

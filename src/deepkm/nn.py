@@ -6,25 +6,27 @@ scalar objective, given upstream gradients on the reconstruction and,
 optionally, on the latent code. The latent hook is what lets a
 clustering loss pull on the embedding without a general autodiff graph.
 
-Memory layout: every weight and bias of an ``AutoencoderParams`` is a
-view into one contiguous float64 vector, ``params.flat``, in the order of
-``iter_param_arrays`` (encoder layers, then decoder layers, each weight
-before its bias). ``backward`` writes each gradient into a view of one
-freshly allocated vector with the same layout, ``Gradients.flat``. So
-``optimizer_step`` updates the whole net with one SGD or Adam kernel,
-``_update``: in-place ufuncs over the two flat vectors, walked in blocks
-of ``_BLOCK`` elements so that the slices and two block-sized scratch
-buffers stay in cache. Each element goes through the same operations in
-the same order as the textbook per-tensor formulas, so the bits do not
-depend on the layout or the block size. Gradient lists built or edited
-by hand are gathered into one vector first; ``step_array`` runs the same
-kernel on any other array (the dkm centroids).
+Memory layout: one list of named shapes, ``layout``, computed once from
+the layer specs (encoder layers, then decoder layers, each weight before
+its bias), lays out both stores. A net's one store is ``params.flat``: a
+new ``AutoencoderParams`` allocates it zero-filled, and every weight and
+bias is a view of it that cannot be rebound, so values are only ever
+written in place. ``backward`` allocates one vector with the same layout,
+``Gradients.flat``, and writes each gradient into its view. So
+``optimizer_step`` checks once that the two layouts agree and updates
+the whole net with one SGD or Adam kernel, ``_update``: in-place ufuncs
+over the two flat vectors, walked in blocks of ``_BLOCK`` elements so
+that the slices and two block-sized scratch buffers stay in cache. Each
+element goes through the same operations in the same order as the
+textbook per-tensor formulas, so the bits do not depend on the layout or
+the block size. ``step_array`` runs the same kernel on any other array
+(the dkm centroids).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -76,7 +78,7 @@ def mirrored_spec(
     return encoder, decoder
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layer:
     """One dense layer: ``out = act(x @ weight + bias)``."""
 
@@ -85,93 +87,30 @@ class Layer:
     activation: str
 
 
-def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views of the 1-d ``flat``, one per shape."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[start : start + size].reshape(shape))
-        start += size
-    return views
+# (name, shape) of every tensor, in the order of the flat vector.
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _same_objects(arrays: Sequence[np.ndarray], views: Sequence[np.ndarray]) -> bool:
-    return len(arrays) == len(views) and all(map(operator.is_, arrays, views))
+def _layout(encoder_spec: Sequence[LayerSpec], decoder_spec: Sequence[LayerSpec]) -> Layout:
+    return tuple(
+        (f"{side}[{i}].{part}", shape)
+        for side, specs in (("encoder", encoder_spec), ("decoder", decoder_spec))
+        for i, s in enumerate(specs)
+        for part, shape in (("weight", (s.input_dim, s.output_dim)), ("bias", (s.output_dim,)))
+    )
 
 
-@dataclass
-class AutoencoderParams:
-    """Encoder/decoder weight stacks. The bottleneck is the latent space.
-
-    On construction the given weights and biases are copied into one new
-    vector, ``flat``, and every layer is pointed at its views of it.
-    """
-
-    encoder: list[Layer]
-    decoder: list[Layer]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._pack()
-
-    def _pack(self) -> None:
-        layers = self.encoder + self.decoder
-        arrays = [np.asarray(a, dtype=np.float64) for l in layers for a in (l.weight, l.bias)]
-        self.flat = np.empty(sum(a.size for a in arrays))
-        self._views = _views(self.flat, [a.shape for a in arrays])
-        for view, a in zip(self._views, arrays):
-            view[...] = a
-        for layer, w, b in zip(layers, self._views[::2], self._views[1::2]):
-            layer.weight, layer.bias = w, b
-
-    def packed_flat(self) -> np.ndarray:
-        """``flat``, packed again first if a layer's array was replaced."""
-        if not _same_objects(_param_tensors(self), self._views):
-            self._pack()
-        return self.flat
-
-    @property
-    def input_dim(self) -> int:
-        return self.encoder[0].weight.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.encoder[-1].weight.shape[1]
-
-    def copy(self) -> "AutoencoderParams":
-        """Independent params: one new vector holding a copy of every tensor."""
-        return AutoencoderParams(
-            encoder=[Layer(l.weight, l.bias, l.activation) for l in self.encoder],
-            decoder=[Layer(l.weight, l.bias, l.activation) for l in self.decoder],
+def _views(flat: np.ndarray, layout: Layout) -> tuple[np.ndarray, ...]:
+    """Consecutive views of the 1-d float64 ``flat``, one per tensor."""
+    sizes = [math.prod(shape) for _, shape in layout]
+    if flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        raise ValueError(
+            f"expected a 1-d float64 vector of {sum(sizes)} values, "
+            f"got {flat.dtype} of shape {flat.shape}"
         )
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.packed_flat()).all())
-
-
-@dataclass
-class Gradients:
-    """Per-layer (d_weight, d_bias) pairs, shape-congruent with the params.
-
-    ``backward`` passes ``flat``, the one vector that all its tensors are
-    views of, laid out as ``AutoencoderParams.flat``. Without it, or once
-    an entry has been replaced, ``optimizer_step`` gathers the tensors
-    into a new vector.
-    """
-
-    encoder: list[tuple[np.ndarray, np.ndarray]]
-    decoder: list[tuple[np.ndarray, np.ndarray]]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._views = [] if self.flat is None else _grad_tensors(self)
-
-    def packed_flat(self) -> np.ndarray:
-        """``flat`` while every tensor is still its view, else a gathered copy."""
-        arrays = _grad_tensors(self)
-        if self.flat is not None and _same_objects(arrays, self._views):
-            return self.flat
-        return np.concatenate([np.asarray(g, dtype=np.float64).ravel() for g in arrays])
+    ends = itertools.accumulate(sizes)
+    return tuple(flat[end - size : end].reshape(shape)
+                 for (_, shape), size, end in zip(layout, sizes, ends))
 
 
 def _validate_chain(spec: Sequence[LayerSpec], what: str) -> None:
@@ -185,6 +124,81 @@ def _validate_chain(spec: Sequence[LayerSpec], what: str) -> None:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class AutoencoderParams:
+    """A zero-filled net for the given architecture. The bottleneck is the
+    latent space.
+
+    ``flat`` is the one store: ``arrays`` holds its view per tensor of
+    ``layout``, and each ``Layer`` of ``encoder`` and ``decoder`` holds
+    its weight and bias views. Values are written into the views; no
+    view, layer or attribute can be rebound.
+    """
+
+    encoder_spec: tuple[LayerSpec, ...]
+    decoder_spec: tuple[LayerSpec, ...]
+    layout: Layout = field(init=False, repr=False)
+    flat: np.ndarray = field(init=False, repr=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    encoder: tuple[Layer, ...] = field(init=False, repr=False)
+    decoder: tuple[Layer, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        encoder_spec, decoder_spec = tuple(self.encoder_spec), tuple(self.decoder_spec)
+        _validate_chain(encoder_spec, "encoder")
+        _validate_chain(decoder_spec, "decoder")
+        if encoder_spec[-1].output_dim != decoder_spec[0].input_dim:
+            raise ValueError(
+                f"latent dim mismatch: encoder ends at {encoder_spec[-1].output_dim}, "
+                f"decoder starts at {decoder_spec[0].input_dim}"
+            )
+        if decoder_spec[-1].output_dim != encoder_spec[0].input_dim:
+            raise ValueError(
+                f"decoder output {decoder_spec[-1].output_dim} does not match "
+                f"encoder input {encoder_spec[0].input_dim}"
+            )
+        layout = _layout(encoder_spec, decoder_spec)
+        flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        arrays = _views(flat, layout)
+        layers = tuple(Layer(w, b, s.activation) for w, b, s in
+                       zip(arrays[::2], arrays[1::2], encoder_spec + decoder_spec))
+        split = len(encoder_spec)
+        for name, value in (("encoder_spec", encoder_spec), ("decoder_spec", decoder_spec),
+                            ("layout", layout), ("flat", flat), ("arrays", arrays),
+                            ("encoder", layers[:split]), ("decoder", layers[split:])):
+            object.__setattr__(self, name, value)
+
+    @property
+    def input_dim(self) -> int:
+        return self.encoder_spec[0].input_dim
+
+    @property
+    def latent_dim(self) -> int:
+        return self.encoder_spec[-1].output_dim
+
+    def copy(self) -> "AutoencoderParams":
+        """Independent params: a new net holding a copy of ``flat``."""
+        twin = AutoencoderParams(self.encoder_spec, self.decoder_spec)
+        twin.flat[...] = self.flat
+        return twin
+
+    def all_finite(self) -> bool:
+        return bool(np.isfinite(self.flat).all())
+
+
+@dataclass(frozen=True, eq=False)
+class Gradients:
+    """dLoss/dparams: ``flat``, a vector laid out as the parameters'
+    ``layout``, and ``arrays``, its view per tensor."""
+
+    layout: Layout
+    flat: np.ndarray = field(repr=False)
+    arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "arrays", _views(self.flat, self.layout))
+
+
 def init_autoencoder(
     encoder_spec: Sequence[LayerSpec],
     decoder_spec: Sequence[LayerSpec],
@@ -194,31 +208,15 @@ def init_autoencoder(
 
     Weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], biases zero.
     The decoder must map the encoder's latent dim back to its input dim.
+    Each layer's draw is written into its view of the new net's ``flat``.
     """
-    _validate_chain(encoder_spec, "encoder")
-    _validate_chain(decoder_spec, "decoder")
-    if encoder_spec[-1].output_dim != decoder_spec[0].input_dim:
-        raise ValueError(
-            f"latent dim mismatch: encoder ends at {encoder_spec[-1].output_dim}, "
-            f"decoder starts at {decoder_spec[0].input_dim}"
-        )
-    if decoder_spec[-1].output_dim != encoder_spec[0].input_dim:
-        raise ValueError(
-            f"decoder output {decoder_spec[-1].output_dim} does not match "
-            f"encoder input {encoder_spec[0].input_dim}"
-        )
+    params = AutoencoderParams(encoder_spec, decoder_spec)
     rng = np.random.default_rng(seed)
-
-    def _make(spec: Sequence[LayerSpec]) -> list[Layer]:
-        layers = []
-        for s in spec:
-            lim = 1.0 / np.sqrt(s.input_dim)
-            w = rng.uniform(-lim, lim, size=(s.input_dim, s.output_dim))
-            b = np.zeros(s.output_dim)
-            layers.append(Layer(w, b, s.activation))
-        return layers
-
-    return AutoencoderParams(encoder=_make(encoder_spec), decoder=_make(decoder_spec))
+    for layer in params.encoder + params.decoder:
+        fan_in = layer.weight.shape[0]
+        lim = 1.0 / np.sqrt(fan_in)
+        layer.weight[...] = rng.uniform(-lim, lim, size=layer.weight.shape)
+    return params
 
 
 def _run_layers(
@@ -349,13 +347,11 @@ def backward(
             f"grad_reconstruction shape {grad_reconstruction.shape} does not match "
             f"reconstruction {cache.reconstruction.shape}"
         )
-    shapes = [p.shape for p in _param_tensors(params)]
-    flat = np.empty(sum(math.prod(shape) for shape in shapes))
-    views = _views(flat, shapes)
+    grads = Gradients(params.layout, np.empty(params.flat.size))
     split = 2 * len(params.encoder)
     g_latent = _layers_backward(
         params.decoder, cache.decoder_inputs, cache.decoder_pre, grad_reconstruction,
-        views[split:],
+        grads.arrays[split:],
     )
     if grad_latent is not None:
         grad_latent = np.asarray(grad_latent, dtype=np.float64)
@@ -366,34 +362,23 @@ def backward(
         g_latent = g_latent + grad_latent
     _layers_backward(
         params.encoder, cache.encoder_inputs, cache.encoder_pre, g_latent,
-        views[:split], input_grad=False,
+        grads.arrays[:split], input_grad=False,
     )
-    pairs = list(zip(views[::2], views[1::2]))
-    return Gradients(encoder=pairs[: len(params.encoder)], decoder=pairs[len(params.encoder) :], flat=flat)
+    return grads
 
 
-def _param_tensors(params: AutoencoderParams) -> list[np.ndarray]:
-    return [a for layer in params.encoder + params.decoder for a in (layer.weight, layer.bias)]
-
-
-def _grad_tensors(grads: Gradients) -> list[np.ndarray]:
-    return [a for pair in grads.encoder + grads.decoder for a in pair]
+def _named(layout: Layout, arrays: Sequence[np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
+    return ((name, a) for (name, _), a in zip(layout, arrays))
 
 
 def iter_param_arrays(params: AutoencoderParams) -> Iterator[tuple[str, np.ndarray]]:
     """Flat, stable iteration over named parameter tensors."""
-    for side, layers in (("encoder", params.encoder), ("decoder", params.decoder)):
-        for i, layer in enumerate(layers):
-            yield f"{side}[{i}].weight", layer.weight
-            yield f"{side}[{i}].bias", layer.bias
+    return _named(params.layout, params.arrays)
 
 
 def iter_grad_arrays(grads: Gradients) -> Iterator[tuple[str, np.ndarray]]:
     """Flat iteration over gradient tensors, aligned with iter_param_arrays."""
-    for side, pairs in (("encoder", grads.encoder), ("decoder", grads.decoder)):
-        for i, (dw, db) in enumerate(pairs):
-            yield f"{side}[{i}].weight", dw
-            yield f"{side}[{i}].bias", db
+    return _named(grads.layout, grads.arrays)
 
 
 @dataclass
@@ -490,22 +475,22 @@ def optimizer_step(
 ) -> tuple[AutoencoderParams, OptimizerState]:
     """Apply one in-place update. SGD: p -= lr*g; Adam: bias-corrected moments.
 
-    Every gradient's shape and finiteness is checked before any
-    parameter moves; then one ``_update`` runs over ``params.flat``.
+    The gradients' layout (a ValueError names the first tensor that differs)
+    and finiteness are checked before any parameter or moment moves; then
+    one ``_update`` runs over ``params.flat``.
     """
-    p_arrays, g_arrays = _param_tensors(params), _grad_tensors(grads)
-    if len(p_arrays) != len(g_arrays):
-        raise ValueError("gradients do not match parameter structure")
-    if any(p.shape != g.shape for p, g in zip(p_arrays, g_arrays)):
-        for (name, p), g in zip(iter_param_arrays(params), g_arrays):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape mismatch for {name}: {p.shape} vs {g.shape}")
-    flat_grad = grads.packed_flat()
-    if not np.isfinite(flat_grad).all():
+    if grads.layout != params.layout:
+        p, g = next(pair for pair in itertools.zip_longest(params.layout, grads.layout)
+                    if pair[0] != pair[1])
+        raise ValueError(
+            f"gradients do not match the parameters at {(p or g)[0]}: "
+            f"shape {p and p[1]} vs {g and g[1]}"
+        )
+    if not np.isfinite(grads.flat).all():
         for name, g in iter_grad_arrays(grads):
             if not np.isfinite(g).all():
                 raise FloatingPointError(f"non-finite gradient in {name}")
-    _update(params.packed_flat(), flat_grad, state)
+    _update(params.flat, grads.flat, state)
     return params, state
 
 

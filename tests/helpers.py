@@ -87,7 +87,7 @@ def draw_smooth_net(rng, m=None, latent=None, hidden=None, batch_size=None, marg
         enc, dec = mirrored_spec(m_, latent_, hidden_)
         params = init_autoencoder(enc, dec, seed=int(rng.integers(1 << 30)))
         for layer in params.encoder + params.decoder:
-            layer.bias += rng.uniform(-0.3, 0.3, size=layer.bias.shape)
+            layer.bias[...] += rng.uniform(-0.3, 0.3, size=layer.bias.shape)
         batch = rng.standard_normal((b_, m_))
         if relu_kink_margin(params, forward(params, batch)) > margin:
             return params, batch

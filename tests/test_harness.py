@@ -16,7 +16,6 @@ from deepkm.harness import (
     RunReport,
     TrainConfig,
     default_lambda,
-    pretrain,
     run_method,
     run_suite,
 )
@@ -88,22 +87,20 @@ class TestTrainConfig:
 class TestPretrain:
     def test_zero_epochs_is_deterministic_init(self, small_blobs):
         cfg = tiny_config(pretrain_epochs=0)
-        record = []
-        a = pretrain(small_blobs, cfg, record)
-        b = pretrain(small_blobs, cfg)
+        _, a, record = harness._pretrained(small_blobs, cfg)
+        _, b, _ = harness._pretrained(small_blobs, cfg)
         assert record == []
         for la, lb in zip(a.encoder + a.decoder, b.encoder + b.decoder):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
 
     def test_training_changes_parameters(self, small_blobs):
-        frozen = pretrain(small_blobs, tiny_config(pretrain_epochs=0))
-        trained = pretrain(small_blobs, tiny_config(pretrain_epochs=1))
+        _, frozen, _ = harness._pretrained(small_blobs, tiny_config(pretrain_epochs=0))
+        _, trained, _ = harness._pretrained(small_blobs, tiny_config(pretrain_epochs=1))
         assert not np.array_equal(frozen.encoder[0].weight, trained.encoder[0].weight)
 
     def test_loss_record_shrinks(self, small_blobs):
-        record = []
-        pretrain(small_blobs, tiny_config(pretrain_epochs=8), record)
+        record = run_method(small_blobs, tiny_config(method="aekm", pretrain_epochs=8)).pretrain_losses
         assert len(record) == 8
         assert record[-1] < record[0]
 

@@ -9,7 +9,6 @@ from deepkm.clustering import assign
 from deepkm.losses import (
     LossConfig,
     combined_objective,
-    ct_centroid_grad,
     ct_loss,
     ct_weights,
     dcn_penalty,
@@ -166,15 +165,6 @@ class TestCtLoss:
             _, grad = ct_loss(latent, centroids, config)
             numeric = num_grad(lambda z: ct_loss(z, centroids, config)[0], latent)
             assert grads_close(grad, numeric)
-
-    def test_centroid_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        config = LossConfig(alpha=2.0)
-        latent = rng.standard_normal((5, 2))
-        centroids = rng.standard_normal((3, 2))
-        grad = ct_centroid_grad(latent, centroids, config)
-        numeric = num_grad(lambda r: ct_loss(latent, r, config)[0], centroids)
-        assert grads_close(grad, numeric)
 
     def test_centroid_order_irrelevant(self):
         rng = np.random.default_rng(5)
@@ -371,9 +361,8 @@ class TestCombinedObjective:
 
 
 def _reference_weighted(latent, centroids, alpha, epsilon=None):
-    """ct_loss + ct_centroid_grad (epsilon given) or dkm_loss (epsilon
-    None) as the separate copies they were before sharing one core:
-    (value, d/dz, d/dc)."""
+    """ct_loss (epsilon given) or dkm_loss (epsilon None) as the separate
+    copies they were before sharing one core: (value, d/dz, d/dc)."""
     diff = latent[:, None, :] - centroids[None, :, :]
     d = np.einsum("bkl,bkl->bk", diff, diff)
     b = d.shape[0]
@@ -413,11 +402,12 @@ class TestOneCoreBits:
             ct = LossConfig(variant="ct", alpha=alpha)
             dkm = LossConfig(variant="dkm", alpha=alpha / scale**2)
             got = {
-                "ct": (*ct_loss(latent, centroids, ct), ct_centroid_grad(latent, centroids, ct)),
+                "ct": ct_loss(latent, centroids, ct),
                 "dkm": dkm_loss(latent, centroids, dkm),
             }
             want = {
-                "ct": _reference_weighted(latent, centroids, ct.alpha, ct.epsilon),
+                # ct's d/dc is never applied, so only value and d/dz are pinned
+                "ct": _reference_weighted(latent, centroids, ct.alpha, ct.epsilon)[:2],
                 "dkm": _reference_weighted(latent, centroids, dkm.alpha),
             }
             for variant in got:

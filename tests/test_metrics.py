@@ -55,6 +55,20 @@ class TestContingency:
         assert counts.shape == (3, 2)
         assert counts[1].tolist() == [0, 0]
 
+    def test_equals_an_add_at_reference_with_skipped_ids(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 400))
+            # labels drawn from a sparse subset of ids, so rows and columns are skipped
+            pred_ids = rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
+            truth_ids = rng.choice(12, size=int(rng.integers(1, 6)), replace=False)
+            pred, truth = rng.choice(pred_ids, n), rng.choice(truth_ids, n)
+            want = np.zeros((pred.max() + 1, truth.max() + 1), dtype=np.int64)
+            np.add.at(want, (pred, truth), 1)
+            got = contingency_table(pred, truth)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
 
 class TestHungarian:
     def test_two_by_two(self):
@@ -265,3 +279,15 @@ class TestEvaluate:
         assert report.acc == acc
         assert report.nmi == nmi(pred, truth)
         assert report.mapping == mapping
+
+    def test_equals_the_separate_calls_bitwise(self):
+        rng = np.random.default_rng(32)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            pred = rng.integers(0, int(rng.integers(1, 9)), n)
+            truth = rng.integers(0, int(rng.integers(1, 9)), n)
+            report = evaluate(pred, truth.astype(np.float64))
+            acc, mapping = accuracy(pred, truth)
+            assert report.acc.hex() == acc.hex()
+            assert report.nmi.hex() == nmi(pred, truth).hex()
+            assert report.mapping == mapping
