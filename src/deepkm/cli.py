@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, concat_datasets, load_delimited, load_idx, make_blobs
+from .data import Dataset, concat_datasets, load_delimited, load_idx, loadtxt_rows, make_blobs
 from .harness import (
     METHODS,
     RunReport,
@@ -389,6 +389,13 @@ def write_projection(path: Path, coords: np.ndarray,
 
 
 def _load_label_file(path: str) -> np.ndarray:
+    labels = loadtxt_rows(path, dtype=np.int64, ndmin=2)
+    if labels is not None and labels.shape[1] == 1:
+        return labels[:, 0]
+    return _parse_label_lines(path)
+
+
+def _parse_label_lines(path: str) -> np.ndarray:
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -396,9 +403,12 @@ def _load_label_file(path: str) -> np.ndarray:
             if not line:
                 continue
             try:
-                labels.append(int(line))
+                label = int(line)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: not an integer label: {line!r}")
+            if not -(2**63) <= label < 2**63:
+                raise ValueError(f"{path}: line {lineno}: label {line!r} is beyond int64")
+            labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no labels found")
     return np.asarray(labels, dtype=np.int64)

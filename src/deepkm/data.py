@@ -8,6 +8,7 @@ unless min-max scaling is requested. Loaders preserve file order.
 from __future__ import annotations
 
 import gzip
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,8 @@ class IdxFormatError(ValueError):
 
 def integer_labels(values, what: str = "labels") -> np.ndarray:
     """``values`` as int64. Integral floats such as 2.0 are accepted; a
-    ValueError names the first entry that is not a finite integer."""
+    ValueError names the first entry that is not a finite integer or
+    lies beyond the int64 range."""
     values = np.asarray(values)
     if values.dtype.kind not in "iub":
         values = np.asarray(values, dtype=np.float64)
@@ -31,6 +33,12 @@ def integer_labels(values, what: str = "labels") -> np.ndarray:
             index = int(np.argmin(whole.ravel()))
             raise ValueError(
                 f"non-integer {what}: entry {index} is {float(values.ravel()[index])}"
+            )
+        inside = (values >= -(2.0**63)) & (values < 2.0**63)
+        if not inside.all():
+            index = int(np.argmin(inside.ravel()))
+            raise ValueError(
+                f"{what} beyond int64: entry {index} is {float(values.ravel()[index])}"
             )
     return values.astype(np.int64)
 
@@ -198,8 +206,68 @@ def load_delimited(
     Labels are read from ``label_column`` (negative indices count from
     the end) and must be integers. Errors carry 1-based line numbers.
     ``minmax_scale`` rescales each feature to [0,1] (constant columns
-    become 0).
+    become 0). A single-character delimiter lets numpy's C reader parse
+    the file; whatever it refuses goes through the per-line parser, which
+    decides what is accepted and how errors read.
     """
+    table = None
+    if _c_reader_agrees(path, delimiter):
+        table = loadtxt_rows(path, delimiter=delimiter, skiprows=skip_header, ndmin=2)
+    if table is None:
+        table = _parse_lines(path, delimiter, skip_header)
+    labels = None
+    if label_column is not None:
+        col = label_column if label_column >= 0 else table.shape[1] + label_column
+        if not 0 <= col < table.shape[1]:
+            raise ValueError(
+                f"label column {label_column} out of range for {table.shape[1]} columns"
+            )
+        labels = integer_labels(table[:, col], f"labels in {path} column {label_column}")
+        table = np.delete(table, col, axis=1)
+    if minmax_scale:
+        lo = table.min(axis=0)
+        span = table.max(axis=0) - lo
+        span[span == 0.0] = 1.0
+        table = (table - lo) / span
+    return Dataset(features=table, labels=labels, name=name or str(path))
+
+
+# numpy's reader strips these from cells, as str.isspace does; float() keeps them.
+_UNSTRIPPED_BY_FLOAT = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _c_reader_agrees(path: str, delimiter: str) -> bool:
+    """Whether ``loadtxt_rows`` can only accept a table the per-line
+    parser gives too: the delimiter is one character and the file holds
+    none of the ASCII separators 0x1c-0x1f."""
+    if not (isinstance(delimiter, str) and len(delimiter) == 1 and delimiter not in "\r\n"):
+        return False
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            if any(sep in chunk for sep in _UNSTRIPPED_BY_FLOAT):
+                return False
+    return True
+
+
+def loadtxt_rows(path: str, **kwargs) -> np.ndarray | None:
+    """``np.loadtxt`` of a utf-8 text file, parsed in C without a Python
+    object per cell; None if it refuses the file or finds no rows.
+
+    Callers then run their per-line parser: it accepts what loadtxt
+    refuses (whitespace-only lines, ``1_0``, Unicode digits) and raises
+    the errors, with 1-based line numbers. The file goes in as a handle,
+    so a ``.gz`` path is not decompressed, as by the per-line parsers.
+    """
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(fh, comments=None, **kwargs)
+        except ValueError:
+            return None
+    return table if table.shape[0] else None
+
+
+def _parse_lines(path: str, delimiter: str, skip_header: int) -> np.ndarray:
     rows: list[list[float]] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -222,22 +290,7 @@ def load_delimited(
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
-    labels = None
-    if label_column is not None:
-        col = label_column if label_column >= 0 else table.shape[1] + label_column
-        if not 0 <= col < table.shape[1]:
-            raise ValueError(
-                f"label column {label_column} out of range for {table.shape[1]} columns"
-            )
-        labels = integer_labels(table[:, col], f"labels in {path} column {label_column}")
-        table = np.delete(table, col, axis=1)
-    if minmax_scale:
-        lo = table.min(axis=0)
-        span = table.max(axis=0) - lo
-        span[span == 0.0] = 1.0
-        table = (table - lo) / span
-    return Dataset(features=table, labels=labels, name=name or str(path))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def make_blobs(

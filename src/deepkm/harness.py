@@ -202,7 +202,9 @@ def _pretrained(dataset: Dataset, config: TrainConfig) -> tuple[dict, Autoencode
                     f"non-finite reconstruction loss at pretrain epoch {epoch}, batch {batches}"
                 )
             grads = backward(params, cache, grad)
+            del cache  # neither the activations nor the gradients outlive their batch
             params, opt = optimizer_step(params, grads, opt)
+            del grads
             total += value
             batches += 1
         losses.append(total / batches)
@@ -311,6 +313,7 @@ def _finetune(
                 )
             recon_sum += out.reconstruction
             clust_sum += out.clustering
+            del out  # its gradients would live through the next step or the epoch-end encode
             batches += 1
             if on_batch is not None:
                 on_batch(epoch, batches - 1, centroids.copy())

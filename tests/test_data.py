@@ -1,16 +1,22 @@
 """Loader round-trips against hand-built byte fixtures and known tables."""
 
 import gzip
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from deepkm import data
 from deepkm.clustering import kmeans
 from deepkm.data import (
     Dataset,
     IdxFormatError,
     concat_datasets,
+    integer_labels,
     load_delimited,
     load_idx,
     make_blobs,
@@ -78,6 +84,14 @@ class TestDataset:
             warnings.simplefilter("error")  # no cast warning before the error
             with pytest.raises(ValueError, match="non-integer .*labels: entry 1 is"):
                 Dataset(np.zeros((3, 2)), np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [1e19, -1e19, 2.0**63])
+    def test_rejects_labels_beyond_int64_with_their_entry(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"labels beyond int64: entry 1 is {bad}")):
+            Dataset(np.zeros((3, 2)), labels=np.array([0.0, bad, 1.0]))
+
+    def test_int64_range_ends_are_exact(self):
+        assert integer_labels([-(2.0**63), 2.0**62]).tolist() == [-(2**63), 2**62]
 
     def test_accepts_integral_float_labels(self):
         ds = Dataset(np.zeros((3, 2)), np.array([0.0, 2.0, 1.0]))
@@ -261,6 +275,134 @@ class TestLoadDelimited:
         p.write_text("\n\n")
         with pytest.raises(ValueError, match="no data rows"):
             load_delimited(p)
+
+    def test_label_beyond_int64_names_its_entry(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("1.0,0\n2.0,1e19\n")
+        with pytest.raises(ValueError, match="column -1 beyond int64: entry 1 is 1e\\+19"):
+            load_delimited(p, label_column=-1)
+
+    def test_peak_memory_is_about_two_tables(self, tmp_path):
+        # numpy's reader fills the table with no Python float per cell;
+        # peeling the label column off copies the features once.
+        p = tmp_path / "t.csv"
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((20000, 17))
+        table[:, -1] = rng.integers(0, 10, 20000)
+        np.savetxt(p, table, delimiter=",")
+        load_delimited(p, label_column=-1)  # first-use imports are not the loader's
+        tracemalloc.start()
+        try:
+            ds = load_delimited(p, label_column=-1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table.nbytes
+        np.testing.assert_array_equal(ds.features, table[:, :-1])
+
+
+def _load_outcome(path, **kwargs):
+    """What load_delimited makes of a file, and that it warned nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load_delimited(path, **kwargs)
+            labels = None if ds.labels is None else ds.labels.tolist()
+            outcome = ("table", ds.features.shape, ds.features.tobytes(), labels)
+        except (ValueError, OSError) as exc:
+            outcome = ("error", type(exc).__name__, str(exc))
+    assert [str(w.message) for w in caught] == []
+    return outcome
+
+
+_EDGE_TABLES = {
+    "blank lines": (b"1,2\n\n3,4\n\n", {}),
+    "whitespace-only lines": (b"1,2\n   \n\t\n3,4\n", {}),
+    "padded cells": (b" 1 , 2\t\n\t3,4 \n", {}),
+    "skip_header then blank lines": (b"a,b\n\n\n1,2\n", {"skip_header": 1}),
+    "skip_header over blank lines": (b"\n\na,b\n1,2\n", {"skip_header": 2}),
+    "skip_header past the end": (b"a,b\n", {"skip_header": 3}),
+    "empty file": (b"", {}),
+    "only newlines": (b"\n\n", {}),
+    "underscore digits": (b"1_0,2\n3,4\n", {}),
+    "unicode digit": ("\uff11,2\n".encode(), {}),
+    "inf and nan": (b"inf,nan\n-inf,-nan\n", {}),
+    "1e400": (b"1e400,1\n", {}),
+    "signed zeros": (b"-0.0,+0\n", {}),
+    "quotes": (b'"1",2\n', {}),
+    "comment line": (b"# note\n1,2\n", {}),
+    "trailing comment": (b"1,2 # note\n", {}),
+    "bom": (b"\xef\xbb\xbf1,2\n", {}),
+    "trailing delimiter": (b"1,2,\n3,4,\n", {}),
+    "ragged row": (b"1,2\n3\n", {}),
+    "non-numeric cell": (b"1,2\n3,oops\n", {}),
+    "cr only": (b"1,2\r3,4\r", {}),
+    "crlf": (b"1,2\r\n3,4\r\n", {}),
+    "tab": (b"1\t2\n3\t4\n", {"delimiter": "\t"}),
+    "doubled tab": (b"1\t\t2\n", {"delimiter": "\t"}),
+    "tab-led line": (b"\t1\t2\n3\t4\n", {"delimiter": "\t"}),
+    "space": (b"1 2\n3 4\n", {"delimiter": " "}),
+    "doubled space": (b"1  2\n3 4\n", {"delimiter": " "}),
+    "space around a tab": (b"1 \t2\n3 4\n", {"delimiter": " "}),
+    "two-character delimiter": (b"1;;2\n3;;4\n", {"delimiter": ";;"}),
+    "one column": (b"1\n2\n3\n", {}),
+    "one row": (b"1,2,3\n", {}),
+    "ascii separator in a cell": (b"1\x1c,2\n", {}),
+    "nul in a cell": (b"1\x00,2\n", {}),
+    "label column": (b"1.5,0\n2.5,1\n", {"label_column": -1}),
+    "label beyond int64": (b"1.5,0\n2.5,1e19\n", {"label_column": -1}),
+}
+
+
+class TestParsersAgree:
+    """numpy's reader accepts a subset of what the per-line parser does,
+    with the same values; everything else, errors included, is the
+    per-line parser's."""
+
+    @pytest.mark.parametrize("case", sorted(_EDGE_TABLES))
+    def test_loader_equals_the_per_line_parser(self, case, tmp_path, monkeypatch):
+        raw, kwargs = _EDGE_TABLES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        got = _load_outcome(path, **kwargs)
+        monkeypatch.setattr(data, "loadtxt_rows", lambda *args, **kw: None)
+        assert got == _load_outcome(path, **kwargs)
+
+    @pytest.mark.parametrize("case", sorted(_EDGE_TABLES))
+    def test_tables_read_in_c_are_bit_identical(self, case, tmp_path):
+        raw, kwargs = _EDGE_TABLES[case]
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        delimiter, skip = kwargs.get("delimiter", ","), kwargs.get("skip_header", 0)
+        if not data._c_reader_agrees(path, delimiter):
+            return
+        fast = data.loadtxt_rows(path, delimiter=delimiter, skiprows=skip, ndmin=2)
+        if fast is not None:
+            slow = data._parse_lines(path, delimiter, skip)
+            assert (fast.shape, fast.tobytes()) == (slow.shape, slow.tobytes())
+
+    def test_gzip_file_fails_as_before(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.csv.gz"
+        path.write_bytes(gzip.compress(b"1,2\n3,4\n"))
+        got = _load_outcome(path)
+        assert got[:2] == ("error", "UnicodeDecodeError")
+        monkeypatch.setattr(data, "loadtxt_rows", lambda *args, **kw: None)
+        assert got == _load_outcome(path)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.lists(st.builds(lambda m, e: m * 10.0**e,
+                           st.floats(-10.0, 10.0), st.integers(-300, 300)),
+                 min_size=cols, max_size=cols),
+        min_size=1, max_size=8)))
+    def test_repr_round_trip(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        want = np.array(rows, dtype=np.float64)
+        got = load_delimited(path).features
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert got.tobytes() == data._parse_lines(path, ",", 0).tobytes()
 
 
 class TestConcat:

@@ -1,5 +1,6 @@
 """Scores checked against exhaustive matching and plug-in entropy formulas."""
 
+import re
 import warnings
 
 import numpy as np
@@ -218,6 +219,14 @@ class TestAccuracy:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-integer .*labels: entry 1 is"):
                 accuracy([0, bad, 1], [0, 1, 1])
+
+    @pytest.mark.parametrize("bad", [1e19, -1e19])
+    def test_rejects_labels_beyond_int64_with_their_entry(self, bad):
+        # they once cast to -2**63 with a warning and read as "non-negative"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"true labels beyond int64: entry 2 is {bad}")):
+                evaluate([0, 1, 1], [0.0, 1.0, bad])
 
     def test_accepts_integral_floats(self):
         assert evaluate([0.0, 1.0, 2.0], [2, 0, 1]) == evaluate([0, 1, 2], [2, 0, 1])
