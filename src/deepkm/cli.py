@@ -136,52 +136,54 @@ def parse_dataset_spec(spec: str) -> Dataset:
     raise ValueError(f"unknown dataset source {kind!r}; use blobs:, idx: or csv:")
 
 
-def _parse_hidden_dims(raw: str) -> tuple:
-    return tuple(int(h) for h in raw.split(",") if h.strip())
+def _int_list(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}"
+        ) from None
 
 
-_TRAIN_KEYS = {
-    "k": int,
-    "seed": int,
-    "pretrain_epochs": int,
-    "finetune_epochs": int,
-    "batch_size": int,
-    "lambda": float,
-    "alpha": float,
-    "latent_dim": int,
-    "hidden_dims": _parse_hidden_dims,
-    "optimizer": str,
-    "learning_rate": float,
-    "method": str,
+def _name_list(raw: str) -> list[str]:
+    return [part.strip() for part in raw.split(",") if part.strip()]
+
+
+# TrainConfig fields that flags and [train] keys set; each is its flag's dest.
+_TRAIN_FIELDS = (
+    "k", "seed", "pretrain_epochs", "finetune_epochs", "batch_size", "lam", "alpha",
+    "latent_dim", "hidden_dims", "optimizer", "learning_rate", "method",
+)
+# INI (section, key) -> the dest whose default it sets.
+_INI_KEYS = {
+    ("dataset", "source"): "dataset",
+    ("suite", "methods"): "methods",
+    ("suite", "seeds"): "seeds",
+    ("output", "dir"): "out",
+    **{("train", "lambda" if name == "lam" else name): name for name in _TRAIN_FIELDS},
 }
 
 
-def _read_config_file(path: str) -> dict:
-    """INI experiment file -> {dataset_spec, methods, seeds, overrides, out_dir}."""
+def _read_config_file(path: str) -> dict[str, str]:
+    """INI experiment file -> {dest: raw string}, to become flag defaults."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ValueError(f"cannot read config file {path}")
-    out: dict = {"overrides": {}}
-    if parser.has_option("dataset", "source"):
-        out["dataset_spec"] = parser.get("dataset", "source")
     if parser.has_section("train"):
-        for key, raw in parser.items("train"):
-            if key not in _TRAIN_KEYS:
+        for key in parser.options("train"):
+            if ("train", key) not in _INI_KEYS:
+                valid = sorted(k for section, k in _INI_KEYS if section == "train")
                 raise ValueError(
-                    f"{path}: unknown [train] key {key!r}; "
-                    f"valid keys: {', '.join(sorted(_TRAIN_KEYS))}"
+                    f"{path}: unknown [train] key {key!r}; valid keys: {', '.join(valid)}"
                 )
-            out["overrides"]["lam" if key == "lambda" else key] = _TRAIN_KEYS[key](raw)
-    if parser.has_option("suite", "methods"):
-        out["methods"] = [m.strip() for m in parser.get("suite", "methods").split(",") if m.strip()]
-    if parser.has_option("suite", "seeds"):
-        out["seeds"] = [int(s) for s in parser.get("suite", "seeds").split(",") if s.strip()]
-    if parser.has_option("output", "dir"):
-        out["out_dir"] = parser.get("output", "dir")
-    return out
+    return {dest: parser.get(section, key) for (section, key), dest in _INI_KEYS.items()
+            if parser.has_option(section, key)}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """The deepkm parser; ``defaults`` (raw strings, as from an INI file)
+    replace the built-in defaults of run, suite and project, and argparse
+    converts them with each flag's ``type``."""
     parser = argparse.ArgumentParser(
         prog="deepkm",
         description="Deep clustering experiments: alternating embedding "
@@ -192,29 +194,31 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, with_method: bool = True):
         p.add_argument("--config", help="INI experiment file; flags override it")
         p.add_argument("--dataset", help="dataset source spec (blobs:, idx:, csv:)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--k", type=int, default=None, help="number of clusters")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
+        p.add_argument("--seed", type=int)
+        p.add_argument("--k", type=int, help="number of clusters")
+        p.add_argument("--lambda", dest="lam", type=float,
                        help="clustering-term coefficient (default depends on method)")
-        p.add_argument("--alpha", type=float, default=None, help="weight sharpness exponent")
-        p.add_argument("--epochs", type=int, default=None, help="finetuning epochs")
-        p.add_argument("--pretrain-epochs", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--latent-dim", type=int, default=None)
-        p.add_argument("--hidden-dims", default=None,
+        p.add_argument("--alpha", type=float, help="weight sharpness exponent")
+        p.add_argument("--epochs", dest="finetune_epochs", type=int, metavar="EPOCHS",
+                       help="finetuning epochs")
+        p.add_argument("--pretrain-epochs", type=int)
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--latent-dim", type=int)
+        p.add_argument("--hidden-dims", type=_int_list,
                        help="comma-separated encoder widths, e.g. 500,500,2000")
-        p.add_argument("--optimizer", choices=["adam", "sgd"], default=None)
-        p.add_argument("--learning-rate", type=float, default=None)
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--optimizer", choices=["adam", "sgd"])
+        p.add_argument("--learning-rate", type=float)
+        p.add_argument("--out", help="output directory")
         if with_method:
-            p.add_argument("--method", choices=list(METHODS), default=None)
+            p.add_argument("--method", choices=list(METHODS))
+        p.set_defaults(**(defaults or {}))
 
     p_run = sub.add_parser("run", help="train one method on one dataset")
     add_common(p_run)
     p_suite = sub.add_parser("suite", help="run methods x seeds, aggregate a table")
     add_common(p_suite, with_method=False)
-    p_suite.add_argument("--methods", help="comma-separated method list")
-    p_suite.add_argument("--seeds", help="comma-separated seed list")
+    p_suite.add_argument("--methods", type=_name_list, help="comma-separated method list")
+    p_suite.add_argument("--seeds", type=_int_list, help="comma-separated seed list")
     p_eval = sub.add_parser("eval", help="score predicted labels against true labels")
     p_eval.add_argument("--pred", required=True, help="file with one predicted label per line")
     p_eval.add_argument("--truth", required=True, help="file with one true label per line")
@@ -225,7 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_cli(argv: list[str]) -> ExperimentFile:
-    """Resolve argv (plus any --config file) into one ExperimentFile."""
+    """Resolve argv (plus any --config file) into one ExperimentFile.
+
+    A first parse finds ``--config``; the second parses with the file's
+    values as the flags' defaults, so flags beat the file, the file beats
+    the built-in defaults, and both go through the same conversions."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":
@@ -233,56 +241,33 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
             command="eval", dataset_spec=None, methods=[], seeds=[],
             out_dir=args.out or "", pred_path=args.pred, truth_path=args.truth,
         )
-
-    file_cfg: dict = {"overrides": {}}
     if args.config:
         try:
-            file_cfg = _read_config_file(args.config)
+            defaults = _read_config_file(args.config)
         except (ValueError, configparser.Error) as exc:
             parser.error(str(exc))
+        args = _build_parser(defaults).parse_args(argv)
 
-    overrides = dict(file_cfg.get("overrides", {}))
-    flag_map = {
-        "seed": args.seed, "k": args.k, "lam": args.lam, "alpha": args.alpha,
-        "finetune_epochs": args.epochs, "pretrain_epochs": args.pretrain_epochs,
-        "batch_size": args.batch_size, "latent_dim": args.latent_dim,
-        "optimizer": args.optimizer, "learning_rate": args.learning_rate,
-        "method": getattr(args, "method", None),
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            overrides[key] = value
-    if args.hidden_dims is not None:
-        overrides["hidden_dims"] = _parse_hidden_dims(args.hidden_dims)
-
+    overrides = {name: getattr(args, name) for name in _TRAIN_FIELDS
+                 if getattr(args, name, None) is not None}
+    seeds = [overrides.get("seed", 0)]
     if args.command == "suite":
-        methods = (
-            [m.strip() for m in args.methods.split(",") if m.strip()]
-            if args.methods else file_cfg.get("methods", [])
-        )
-        seeds = (
-            [int(s) for s in args.seeds.split(",") if s.strip()]
-            if args.seeds else file_cfg.get("seeds", [])
-        )
+        methods = args.methods
+        if args.seeds:
+            seeds = list(args.seeds)
         if not methods:
             parser.error("suite needs --methods or a [suite] methods entry")
-        if not seeds:
-            seeds = [overrides.get("seed", 0)]
         unknown = [m for m in methods if m not in METHODS]
         if unknown:
             parser.error(f"unknown method(s) {unknown}; choose from {METHODS}")
     else:
         methods = [overrides.get("method", "ours")]
-        seeds = [overrides.get("seed", 0)]
-
-    dataset_spec = args.dataset or file_cfg.get("dataset_spec")
-    if not dataset_spec:
+    if not args.dataset:
         parser.error("no dataset given (use --dataset or a [dataset] source entry)")
-    out_dir = args.out or file_cfg.get("out_dir", "")
 
     exp = ExperimentFile(
-        command=args.command, dataset_spec=dataset_spec, methods=methods,
-        seeds=seeds, overrides=overrides, out_dir=out_dir,
+        command=args.command, dataset_spec=args.dataset, methods=methods,
+        seeds=seeds, overrides=overrides, out_dir=args.out or "",
     )
     try:
         _effective_config(exp)
@@ -345,24 +330,18 @@ def emit_report(reports: RunReport | list[RunReport], out_dir: str | Path,
     return written
 
 
-def project_2d(latents: np.ndarray, assignment: np.ndarray | None = None,
-               truth: np.ndarray | None = None) -> np.ndarray:
+def project_2d(latents: np.ndarray) -> np.ndarray:
     """Top-2 principal-component coordinates of the given points.
 
     Components are eigenvectors of the sample covariance (descending
     eigenvalue), each signed so its largest-magnitude loading is
-    positive; ties on magnitude go to the lowest index. The label
-    arguments are validated for length only (they ride along to the
-    emitted file).
+    positive; ties on magnitude go to the lowest index.
     """
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] < 2:
         raise ValueError("projection needs a 2-d array with at least 2 points")
     if latents.shape[1] < 2:
         raise ValueError("projection needs at least 2 feature dimensions")
-    for name, arr in (("assignment", assignment), ("truth", truth)):
-        if arr is not None and np.asarray(arr).shape != (latents.shape[0],):
-            raise ValueError(f"{name} length does not match the number of points")
     centered = latents - latents.mean(axis=0)
     cov = (centered.T @ centered) / (latents.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -473,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         paths = emit_report(report, exp.out_dir)
         if exp.command == "project":
-            coords = project_2d(report.latents, report.assignment, dataset.labels)
+            coords = project_2d(report.latents)
             out = resolve_out_dir(exp.out_dir)
             paths = [out / f"{report.method}_seed{report.seed}_projection.tsv"]
             write_projection(paths[0], coords, report.assignment, dataset.labels)

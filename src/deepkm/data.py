@@ -26,7 +26,11 @@ def integer_labels(values, what: str = "labels") -> np.ndarray:
     ValueError names the first entry that is not a finite integer or
     lies beyond the int64 range."""
     values = np.asarray(values)
-    if values.dtype.kind not in "iub":
+    if values.dtype.kind in "ib":
+        return values.astype(np.int64)
+    if values.dtype.kind == "u":
+        inside = values <= np.iinfo(np.int64).max
+    else:
         values = np.asarray(values, dtype=np.float64)
         whole = np.isfinite(values) & (values == np.rint(values))
         if not whole.all():
@@ -35,11 +39,9 @@ def integer_labels(values, what: str = "labels") -> np.ndarray:
                 f"non-integer {what}: entry {index} is {float(values.ravel()[index])}"
             )
         inside = (values >= -(2.0**63)) & (values < 2.0**63)
-        if not inside.all():
-            index = int(np.argmin(inside.ravel()))
-            raise ValueError(
-                f"{what} beyond int64: entry {index} is {float(values.ravel()[index])}"
-            )
+    if not inside.all():
+        index = int(np.argmin(inside.ravel()))
+        raise ValueError(f"{what} beyond int64: entry {index} is {values.ravel()[index].item()}")
     return values.astype(np.int64)
 
 

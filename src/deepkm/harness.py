@@ -33,6 +33,7 @@ each other bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -103,13 +104,16 @@ class TrainConfig:
             raise ValueError("k, batch_size and latent_dim must be positive")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if self.lam is not None and not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.kmeans_max_iters < 1 or self.kmeans_tol < 0:
             raise ValueError("bad kmeans settings")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden widths must be positive, got {self.hidden_dims}")
+        make_optimizer(self.optimizer, self.learning_rate)  # its checks, not a copy
 
     @property
     def effective_lam(self) -> float:
@@ -301,7 +305,7 @@ def _finetune(
             out: CombinedResult = combined_objective(batch, params, centroids, loss_cfg)
             if not np.isfinite(out.total):
                 raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {batches}"
+                    f"non-finite loss at finetune epoch {epoch}, batch {batches}"
                 )
             params, opt = optimizer_step(params, out.param_grads, opt)
             if variant == "dkm":

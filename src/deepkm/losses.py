@@ -5,10 +5,10 @@ weighted by a row-stochastic membership matrix". ct and dkm are one
 core, ``_weighted_distance`` (value, d/dz and, for dkm, d/dc), that
 differs only in the logits of its softmax weights (``_weights``):
 
-* ``ct``  — logits -alpha*log(max(d, eps)), weights proportional to
-  d^(-alpha); gradients flow through both the distance factor and the
-  weights, but centroids are trained only by the periodic K-means
-  refresh, never by these gradients.
+* ``ct``  — logits -alpha*log(max(d, DISTANCE_FLOOR)), weights
+  proportional to d^(-alpha); gradients flow through both the distance
+  factor and the weights, but centroids are trained only by the periodic
+  K-means refresh, never by these gradients.
 * ``dkm`` — logits -alpha*d; centroids receive gradients and are
   trained jointly with the network.
 * ``dcn`` — hard nearest-centroid assignment with a 0.5 * ||z - r||^2
@@ -30,13 +30,16 @@ from .nn import AutoencoderParams, Gradients, backward, forward
 
 VARIANTS = ("ct", "dkm", "dcn")
 
+# ct's floor under squared distances: a point on a centroid gets a finite
+# logit, and the d^(-alpha) weights stay defined.
+DISTANCE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class LossConfig:
     variant: str = "ct"
     lam: float = 10.0  # clustering-term coefficient
     alpha: float = 3.0  # weight sharpness exponent
-    epsilon: float = 1e-12  # floor under squared distances
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -45,8 +48,6 @@ class LossConfig:
             raise ValueError("lam must be non-negative")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 def _pairwise(latent: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,11 +62,10 @@ def _pairwise(latent: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np
     return differences(latent, centroids)
 
 
-def _weights(d: np.ndarray, alpha: float, epsilon: float | None) -> np.ndarray:
-    """Row softmax of the membership logits -alpha*log(max(d, epsilon)),
-    i.e. weights proportional to d^(-alpha) (ct), or of -alpha*d when
-    epsilon is None (dkm)."""
-    logits = -float(alpha) * (d if epsilon is None else np.log(np.maximum(d, epsilon)))
+def _weights(d: np.ndarray, alpha: float, ct: bool) -> np.ndarray:
+    """Row softmax of the membership logits -alpha*log(max(d, DISTANCE_FLOOR)),
+    i.e. weights proportional to d^(-alpha) (ct), or of -alpha*d (dkm)."""
+    logits = -float(alpha) * (np.log(np.maximum(d, DISTANCE_FLOOR)) if ct else d)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -86,8 +86,8 @@ def _weighted_distance(
     diff, d = _pairwise(latent, centroids)
     b = d.shape[0]
     alpha = float(config.alpha)
-    epsilon = config.epsilon if config.variant == "ct" else None
-    w = _weights(d, alpha, epsilon)
+    ct = config.variant == "ct"
+    w = _weights(d, alpha, ct)
     per_sample = np.einsum("bk,bk->b", d, w)
     value = float(per_sample.sum() / b)
     # d/dz of the weights contributes -2*alpha * coef per cluster, with
@@ -95,14 +95,14 @@ def _weighted_distance(
     # also divided by the floored distance and masked where the floor
     # clamps (there the weight has zero local dependence on z).
     coef = w * (d - per_sample[:, None])
-    if epsilon is not None:
-        coef = coef / np.maximum(d, epsilon) * (d > epsilon)
+    if ct:
+        coef = coef / np.maximum(d, DISTANCE_FLOOR) * (d > DISTANCE_FLOOR)
     grad_z = (
         2.0 * np.einsum("bk,bkl->bl", w, diff)
         - 2.0 * alpha * np.einsum("bk,bkl->bl", coef, diff)
     ) / b
     grad_c = None
-    if epsilon is None:
+    if not ct:
         grad_c = (
             -2.0 * np.einsum("bk,bkl->kl", w, diff)
             + 2.0 * alpha * np.einsum("bk,bkl->kl", coef, diff)
@@ -110,23 +110,18 @@ def _weighted_distance(
     return value, grad_z, grad_c
 
 
-def ct_weights(
-    latent: np.ndarray,
-    centroids: np.ndarray,
-    alpha: float,
-    epsilon: float = 1e-12,
-) -> np.ndarray:
+def ct_weights(latent: np.ndarray, centroids: np.ndarray, alpha: float) -> np.ndarray:
     """Row-stochastic (B, K) weights proportional to distance^(-alpha).
 
-    d^(-alpha) is evaluated as exp(-alpha*log(max(d, epsilon))), which is
-    a softmax over -alpha*log d and therefore safe for any alpha.
+    d^(-alpha) is evaluated as exp(-alpha*log(max(d, DISTANCE_FLOOR))),
+    which is a softmax over -alpha*log d and therefore safe for any alpha.
     """
-    return _weights(_pairwise(latent, centroids)[1], alpha, epsilon)
+    return _weights(_pairwise(latent, centroids)[1], alpha, ct=True)
 
 
 def dkm_weights(latent: np.ndarray, centroids: np.ndarray, alpha_dkm: float) -> np.ndarray:
     """Row-stochastic (B, K) softmax of -alpha_dkm times squared distance."""
-    return _weights(_pairwise(latent, centroids)[1], alpha_dkm, None)
+    return _weights(_pairwise(latent, centroids)[1], alpha_dkm, ct=False)
 
 
 def ct_loss(

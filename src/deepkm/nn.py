@@ -38,6 +38,15 @@ ACTIVATIONS = ("relu", "linear")
 # scratch buffers of this size fit in a core's L2 cache.
 _BLOCK = 32768
 
+# Adam's moment decay rates and the floor under its step's denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# Rows per block of encode_blocks. BLAS may round a GEMM row differently
+# with another block height, so this value is part of every run's bits.
+_ENCODE_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -260,9 +269,11 @@ def decode(params: AutoencoderParams, latent: np.ndarray) -> np.ndarray:
     return _run_layers(params.decoder, latent)
 
 
-def encode_blocks(params: AutoencoderParams, features: np.ndarray, block: int = 4096) -> np.ndarray:
-    """encode() over row blocks, bounding peak memory on wide hidden layers."""
+def encode_blocks(params: AutoencoderParams, features: np.ndarray) -> np.ndarray:
+    """encode() over blocks of ``_ENCODE_ROWS`` rows, bounding peak memory
+    on wide hidden layers."""
     features = _check_batch(features, params.input_dim, "encode")
+    block = _ENCODE_ROWS
     if features.shape[0] <= block:
         return encode(params, features)
     out = np.empty((features.shape[0], params.latent_dim))
@@ -388,32 +399,17 @@ class OptimizerState:
 
     kind: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
 
-def make_optimizer(
-    kind: str = "adam",
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
+def make_optimizer(kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer kind {kind!r}")
     if not learning_rate > 0:
         raise ValueError("learning_rate must be positive")
-    # beta = 1 would make Adam's bias correction 1 - beta**t zero.
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"{name} must lie in [0, 1), got {beta}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return OptimizerState(kind=kind, learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+    return OptimizerState(kind=kind, learning_rate=learning_rate)
 
 
 def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
@@ -439,8 +435,8 @@ def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
                 f"do not match the {p.size} values being updated"
             )
     state.step_count += 1
-    t, lr, eps = state.step_count, state.learning_rate, state.eps
-    b1, b2 = state.beta1, state.beta2
+    t, lr = state.step_count, state.learning_rate
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     scratch_a, scratch_b = np.empty((2, min(p.size, _BLOCK)))
     for start in range(0, p.size, _BLOCK):

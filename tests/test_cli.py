@@ -160,6 +160,25 @@ class TestParseCli:
         with pytest.raises(SystemExit):
             parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--lambda", "-1"])
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key, flag, value, message", [
+        ("learning_rate", "--learning-rate", "-1", "learning_rate must be positive"),
+        ("hidden_dims", "--hidden-dims", "4,0", "hidden widths must be positive"),
+        ("optimizer", "--optimizer", "rmsprop", "'rmsprop'"),
+        ("finetune_epochs", "--epochs", "x", "argument --epochs: invalid int value: 'x'"),
+    ], ids=["learning_rate", "hidden_dims", "optimizer", "epochs"])
+    def test_out_of_range_settings_rejected_at_parse_time(
+        self, tmp_path, capsys, source, key, flag, value, message,
+    ):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[dataset]\nsource = blobs:n=5,k=2,dim=2\n"
+                       + (f"[train]\n{key} = {value}\n" if source == "file" else ""))
+        argv = ["run", "--config", str(ini)] + ([flag, value] if source == "flag" else [])
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_eval_passthrough(self):
         exp = parse_cli(["eval", "--pred", "a.txt", "--truth", "b.txt"])
         assert exp.command == "eval"
@@ -298,8 +317,6 @@ class TestProjection:
             project_2d(np.zeros((1, 3)))
         with pytest.raises(ValueError):
             project_2d(np.zeros((5, 1)))
-        with pytest.raises(ValueError):
-            project_2d(np.zeros((5, 3)), assignment=np.zeros(4, dtype=int))
 
     def test_written_file_layout(self, tmp_path):
         coords = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -398,6 +415,22 @@ class TestMainEndToEnd:
     def test_usage_error_exits_two(self, capsys):
         assert main(["run"]) == 2
         assert main(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--lambda", "-1"]) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_seed_list_is_a_usage_error(self, tmp_path, capsys, source):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[suite]\nseeds = 1,x\n" if source == "file" else "")
+        out = tmp_path / "out"
+        code = main([
+            "suite", "--config", str(ini), "--dataset", "blobs:n=10,k=2,dim=3,seed=0",
+            "--methods", "km", "--out", str(out), *FAST,
+            *(["--seeds", "1,x"] if source == "flag" else []),
+        ])
+        assert code == 2
+        assert "argument --seeds: expected comma-separated integers, got '1,x'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEEPKM_OUT", str(tmp_path / "envout"))

@@ -90,6 +90,17 @@ class TestDataset:
         with pytest.raises(ValueError, match=re.escape(f"labels beyond int64: entry 1 is {bad}")):
             Dataset(np.zeros((3, 2)), labels=np.array([0.0, bad, 1.0]))
 
+    def test_rejects_uint64_labels_beyond_int64_with_their_entry(self):
+        # 2**63 once wrapped to -2**63 and then read as "non-negative"
+        big = np.array([1, 2**63, 2**64 - 1], dtype=np.uint64)
+        message = re.escape(f"labels beyond int64: entry 1 is {2**63}")
+        with pytest.raises(ValueError, match=message):
+            integer_labels(big)
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.zeros((3, 2)), labels=big)
+        top = np.array([0, 2**63 - 1], dtype=np.uint64)
+        assert integer_labels(top).tolist() == [0, 2**63 - 1]
+
     def test_int64_range_ends_are_exact(self):
         assert integer_labels([-(2.0**63), 2.0**62]).tolist() == [-(2**63), 2**62]
 

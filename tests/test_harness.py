@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -56,6 +57,12 @@ class TestTrainConfig:
             {"lam": -2.0},
             {"alpha": 0.0},
             {"kmeans_max_iters": 0},
+            {"optimizer": "rmsprop"},
+            {"learning_rate": 0.0},
+            {"hidden_dims": (8, 0)},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"alpha": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -314,6 +321,36 @@ class TestTrainingProgress:
         ours = run_method(data, cfg)
         base = run_method(data, dataclasses.replace(cfg, method="aekm"))
         assert ours.metrics.nmi > base.metrics.nmi
+
+
+# SGD applies the raw gradient, so one huge step makes the next batch's
+# loss overflow: the second batch of the first epoch of either phase.
+_NON_FINITE = {
+    "pretrain": ({"optimizer": "sgd", "learning_rate": 1e150},
+                 "non-finite reconstruction loss at pretrain epoch 0, batch 1"),
+    "finetune": ({"optimizer": "sgd", "lam": 1e300},
+                 "non-finite loss at finetune epoch 0, batch 1"),
+}
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("phase", sorted(_NON_FINITE))
+    def test_message_names_the_phase_epoch_and_batch(self, small_blobs, phase):
+        overrides, message = _NON_FINITE[phase]
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+                run_method(small_blobs, tiny_config(**overrides))
+
+    @pytest.mark.parametrize("phase", sorted(_NON_FINITE))
+    def test_suite_records_the_failure_and_keeps_going(self, small_blobs, phase):
+        overrides, message = _NON_FINITE[phase]
+        with np.errstate(all="ignore"):
+            suite = run_suite(small_blobs, tiny_config(**overrides), seeds=[0, 1],
+                              methods=["ours", "km"])
+        assert [(m, s) for m, s, _ in suite.failures] == [("ours", 0), ("ours", 1)]
+        assert suite.failures[0][2] == f"FloatingPointError: {message}"
+        assert [(r.method, r.seed) for r in suite.reports] == [("km", 0), ("km", 1)]
+        assert [row.method for row in suite.rows] == ["km"]
 
 
 class TestSuite:

@@ -7,6 +7,7 @@ import pytest
 
 from deepkm.clustering import assign
 from deepkm.losses import (
+    DISTANCE_FLOOR,
     LossConfig,
     combined_objective,
     ct_loss,
@@ -33,7 +34,6 @@ class TestLossConfig:
             {"variant": "soft"},
             {"lam": -0.5},
             {"alpha": 0.0},
-            {"epsilon": 0.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -407,7 +407,7 @@ class TestOneCoreBits:
             }
             want = {
                 # ct's d/dc is never applied, so only value and d/dz are pinned
-                "ct": _reference_weighted(latent, centroids, ct.alpha, ct.epsilon)[:2],
+                "ct": _reference_weighted(latent, centroids, ct.alpha, DISTANCE_FLOOR)[:2],
                 "dkm": _reference_weighted(latent, centroids, dkm.alpha),
             }
             for variant in got:

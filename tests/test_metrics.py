@@ -228,6 +228,11 @@ class TestAccuracy:
             with pytest.raises(ValueError, match=re.escape(f"true labels beyond int64: entry 2 is {bad}")):
                 evaluate([0, 1, 1], [0.0, 1.0, bad])
 
+    def test_rejects_uint64_labels_beyond_int64_with_their_entry(self):
+        truth = np.array([0, 1, 2**63], dtype=np.uint64)
+        with pytest.raises(ValueError, match=re.escape(f"true labels beyond int64: entry 2 is {2**63}")):
+            evaluate([0, 1, 1], truth)
+
     def test_accepts_integral_floats(self):
         assert evaluate([0.0, 1.0, 2.0], [2, 0, 1]) == evaluate([0, 1, 2], [2, 0, 1])
 

@@ -170,7 +170,7 @@ class TestInPlaceForwardBits:
         rows = np.random.default_rng(4).random((300, 784))
         return params, rows
 
-    def test_encode_and_encode_blocks(self, paper_net):
+    def test_encode_and_encode_blocks(self, paper_net, monkeypatch):
         params, rows = paper_net
         want, _ = reference_layers(params.encoder, rows)
         np.testing.assert_array_equal(encode(params, rows), want)
@@ -179,7 +179,8 @@ class TestInPlaceForwardBits:
         # the reference runs over the same blocks
         blocked = np.vstack([reference_layers(params.encoder, rows[i : i + 128])[0]
                              for i in range(0, rows.shape[0], 128)])
-        np.testing.assert_array_equal(nn.encode_blocks(params, rows, block=128), blocked)
+        monkeypatch.setattr(nn, "_ENCODE_ROWS", 128)
+        np.testing.assert_array_equal(nn.encode_blocks(params, rows), blocked)
 
     def test_forward_keeps_pre_activations_for_backward(self, paper_net):
         params, rows = paper_net
@@ -372,13 +373,13 @@ def reference_step(param_arrays, grad_arrays, state, ref):
         ref["v"] = [np.zeros_like(p) for p in param_arrays]
     ref["t"] += 1
     t = ref["t"]
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
     for i, (p, g) in enumerate(zip(param_arrays, grad_arrays)):
         ref["m"][i] = b1 * ref["m"][i] + (1.0 - b1) * g
         ref["v"][i] = b2 * ref["v"][i] + (1.0 - b2) * g * g
         m_hat = ref["m"][i] / (1.0 - b1**t)
         v_hat = ref["v"][i] / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
 
 
 def several_block_net(seed=21):
@@ -524,17 +525,6 @@ class TestFlatLayout:
 
 
 class TestOptimizerInputs:
-    @pytest.mark.parametrize("beta1, beta2", [(1.0, 0.999), (-0.1, 0.999), (0.9, 1.0),
-                                              (0.9, 1.5), (float("nan"), 0.999)])
-    def test_betas_outside_the_unit_interval_rejected(self, beta1, beta2):
-        with pytest.raises(ValueError, match="beta"):
-            make_optimizer("adam", beta1=beta1, beta2=beta2)
-
-    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
-    def test_non_positive_eps_rejected(self, eps):
-        with pytest.raises(ValueError, match="eps"):
-            make_optimizer("adam", eps=eps)
-
     def test_moments_of_another_size_rejected_before_any_change(self):
         params = tiny_net(seed=13)
         before = params.flat.copy()
