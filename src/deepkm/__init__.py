@@ -33,6 +33,7 @@ from .metrics import MetricsReport, accuracy, evaluate, hungarian, nmi
 from .nn import (
     AutoencoderParams,
     LayerSpec,
+    Workspace,
     backward,
     decode,
     encode,
@@ -52,7 +53,7 @@ __all__ = [
     "CombinedResult", "LossConfig", "combined_objective", "ct_loss", "ct_weights",
     "dcn_penalty", "dkm_loss", "dkm_weights",
     "MetricsReport", "accuracy", "evaluate", "hungarian", "nmi",
-    "AutoencoderParams", "LayerSpec", "backward", "decode", "encode", "forward",
+    "AutoencoderParams", "LayerSpec", "Workspace", "backward", "decode", "encode", "forward",
     "init_autoencoder", "make_optimizer", "mirrored_spec", "optimizer_step",
     "__version__",
 ]

@@ -270,16 +270,19 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
         seeds=seeds, overrides=overrides, out_dir=args.out or "",
     )
     try:
-        _effective_config(exp)
+        for seed in seeds:
+            _effective_config(exp, seed)
     except ValueError as exc:
         parser.error(str(exc))
     return exp
 
 
-def _effective_config(exp: ExperimentFile) -> TrainConfig:
-    """The first method and seed's config; an unset lam means each method's default."""
+def _effective_config(exp: ExperimentFile, seed: int | None = None) -> TrainConfig:
+    """The config of the first method and ``seed`` (by default the first
+    seed); an unset lam means each method's default."""
     fields = {k: v for k, v in exp.overrides.items() if k not in ("method", "seed")}
-    return TrainConfig(method=exp.methods[0], seed=int(exp.seeds[0]), **fields)
+    return TrainConfig(method=exp.methods[0], seed=int(exp.seeds[0] if seed is None else seed),
+                       **fields)
 
 
 def resolve_out_dir(out_dir: str) -> Path:

@@ -43,10 +43,12 @@ import numpy as np
 
 from .clustering import KMeansResult, assign, kmeans
 from .data import Dataset
-from .losses import CombinedResult, LossConfig, combined_objective, reconstruction_loss
+from .losses import LossConfig, combined_objective, reconstruction_loss
 from .metrics import MetricsReport, evaluate
 from .nn import (
     AutoencoderParams,
+    OptimizerState,
+    Workspace,
     backward,
     encode_blocks,
     forward,
@@ -100,6 +102,8 @@ class TrainConfig:
         self.method = self.method.lower()
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 1 or self.batch_size < 1 or self.latent_dim < 1:
             raise ValueError("k, batch_size and latent_dim must be positive")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
@@ -192,27 +196,31 @@ def _pretrained(dataset: Dataset, config: TrainConfig) -> tuple[dict, Autoencode
     streams = _seed_streams(config)
     enc, dec = mirrored_spec(dataset.m, config.latent_dim, config.hidden_dims)
     params = init_autoencoder(enc, dec, streams["init_seed"])
-    rng = streams["pretrain_rng"]
     opt = make_optimizer(config.optimizer, config.learning_rate)
-    losses = []
-    for epoch in range(config.pretrain_epochs):
-        total, batches = 0.0, 0
-        for idx in _batches(dataset.n, config.batch_size, rng):
-            batch = dataset.features[idx]
-            cache = forward(params, batch)
-            value, grad = reconstruction_loss(cache.batch, cache.reconstruction)
-            if not np.isfinite(value):
-                raise FloatingPointError(
-                    f"non-finite reconstruction loss at pretrain epoch {epoch}, batch {batches}"
-                )
-            grads = backward(params, cache, grad)
-            del cache  # neither the activations nor the gradients outlive their batch
-            params, opt = optimizer_step(params, grads, opt)
-            del grads
-            total += value
-            batches += 1
-        losses.append(total / batches)
+    losses = [_pretrain_epoch(dataset, config, params, opt, streams["pretrain_rng"], epoch)
+              for epoch in range(config.pretrain_epochs)]
     return streams, params, losses
+
+
+def _pretrain_epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
+                    opt: OptimizerState, rng: np.random.Generator, epoch: int) -> float:
+    """One reconstruction-only epoch, in place; its mean loss over batches.
+    Its steps share one workspace, freed on return: before any full-data
+    encode."""
+    workspace = Workspace(params, min(config.batch_size, dataset.n))
+    total, batches = 0.0, 0
+    for idx in _batches(dataset.n, config.batch_size, rng):
+        cache = forward(params, dataset.features[idx], workspace)
+        value, grad = reconstruction_loss(cache.batch, cache.reconstruction,
+                                          workspace.residual[: idx.size])
+        if not np.isfinite(value):
+            raise FloatingPointError(
+                f"non-finite reconstruction loss at pretrain epoch {epoch}, batch {batches}"
+            )
+        optimizer_step(params, backward(params, cache, grad), opt)
+        total += value
+        batches += 1
+    return total / batches
 
 
 def _kmeans(points: np.ndarray, config: TrainConfig, rng: np.random.Generator,
@@ -299,30 +307,12 @@ def _finetune(
     recon_losses: list[float] = []
     clust_losses: list[float] = []
     for epoch in range(epochs):
-        recon_sum, clust_sum, batches = 0.0, 0.0, 0
-        for idx in _batches(dataset.n, config.batch_size, tune_rng):
-            batch = dataset.features[idx]
-            out: CombinedResult = combined_objective(batch, params, centroids, loss_cfg)
-            if not np.isfinite(out.total):
-                raise FloatingPointError(
-                    f"non-finite loss at finetune epoch {epoch}, batch {batches}"
-                )
-            params, opt = optimizer_step(params, out.param_grads, opt)
-            if variant == "dkm":
-                # In place: nothing else holds this refit's centre array.
-                step_array(centroids, out.centroid_grads, centroid_opt, "centroids")
-            elif variant == "dcn":
-                centroids = _dcn_center_update(
-                    params, batch, out.assignment, centroids, counts
-                )
-            recon_sum += out.reconstruction
-            clust_sum += out.clustering
-            del out  # its gradients would live through the next step or the epoch-end encode
-            batches += 1
-            if on_batch is not None:
-                on_batch(epoch, batches - 1, centroids.copy())
-        recon_losses.append(recon_sum / batches)
-        clust_losses.append(clust_sum / batches)
+        recon, clust, centroids = _finetune_epoch(
+            dataset, config, params, loss_cfg, centroids, opt, centroid_opt, counts,
+            tune_rng, epoch, on_batch,
+        )
+        recon_losses.append(recon)
+        clust_losses.append(clust)
         if reinit:
             latents = encode_blocks(params, dataset.features)
             rng = np.random.default_rng(rein_seeds[epoch])
@@ -336,6 +326,46 @@ def _finetune(
     return _finish(
         config, started, dataset, latents, centroids, pre_losses, recon_losses, clust_losses,
     )
+
+
+def _finetune_epoch(
+    dataset: Dataset,
+    config: TrainConfig,
+    params: AutoencoderParams,
+    loss_cfg: LossConfig,
+    centroids: np.ndarray,
+    opt: OptimizerState,
+    centroid_opt: OptimizerState,
+    counts: np.ndarray,
+    rng: np.random.Generator,
+    epoch: int,
+    on_batch: BatchHook | None,
+) -> tuple[float, float, np.ndarray]:
+    """One finetuning epoch: its mean reconstruction and clustering terms
+    over batches, and the centroids it ends with. ``opt`` steps the net,
+    ``centroid_opt`` the dkm centroids. Its steps share one workspace,
+    freed on return: before any full-data encode."""
+    workspace = Workspace(params, min(config.batch_size, dataset.n))
+    recon_sum, clust_sum, batches = 0.0, 0.0, 0
+    for idx in _batches(dataset.n, config.batch_size, rng):
+        batch = dataset.features[idx]
+        out = combined_objective(batch, params, centroids, loss_cfg, workspace)
+        if not np.isfinite(out.total):
+            raise FloatingPointError(
+                f"non-finite loss at finetune epoch {epoch}, batch {batches}"
+            )
+        optimizer_step(params, out.param_grads, opt)
+        if loss_cfg.variant == "dkm":
+            # In place: nothing else holds this refit's centre array.
+            step_array(centroids, out.centroid_grads, centroid_opt, "centroids")
+        elif loss_cfg.variant == "dcn":
+            centroids = _dcn_center_update(params, batch, out.assignment, centroids, counts)
+        recon_sum += out.reconstruction
+        clust_sum += out.clustering
+        batches += 1
+        if on_batch is not None:
+            on_batch(epoch, batches - 1, centroids.copy())
+    return recon_sum / batches, clust_sum / batches, centroids
 
 
 def _dcn_center_update(
@@ -404,7 +434,8 @@ def run_suite(
     ``ArithmeticError``, ``LinAlgError``) is recorded and the suite keeps
     going; failed runs are excluded from that method's aggregates. Any
     other exception is a programming error and propagates. An unset
-    ``lam`` gives each method its own default.
+    ``lam`` gives each method its own default. Every run's config is
+    built first, so a bad method or seed raises before any run.
     """
     if not seeds or not methods:
         raise ValueError("need at least one seed and one method")
@@ -414,14 +445,15 @@ def run_suite(
     reports: list[RunReport] = []
     failures: list[tuple[str, int, str]] = []
     base = asdict(base_config)
-    for method in methods:
+    grid = [[TrainConfig(**{**base, "method": method, "seed": int(seed)}) for seed in seeds]
+            for method in methods]
+    for method, configs in zip(methods, grid):
         accs, nmis = [], []
-        for seed in seeds:
-            cfg = TrainConfig(**{**base, "method": method, "seed": int(seed)})
+        for cfg in configs:
             try:
                 report = run_method(dataset, cfg)
             except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-                failures.append((method, int(seed), f"{type(exc).__name__}: {exc}"))
+                failures.append((method, cfg.seed, f"{type(exc).__name__}: {exc}"))
                 continue
             reports.append(report)
             accs.append(report.metrics.acc)

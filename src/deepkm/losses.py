@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import assign, differences
-from .nn import AutoencoderParams, Gradients, backward, forward
+from .nn import AutoencoderParams, Gradients, Workspace, backward, forward
 
 VARIANTS = ("ct", "dkm", "dcn")
 
@@ -180,18 +180,28 @@ class CombinedResult:
     total: float
     reconstruction: float
     clustering: float  # unscaled clustering term; total = recon + lam * this
-    param_grads: Gradients
+    param_grads: Gradients  # the workspace's: the next step on it overwrites them
     centroid_grads: np.ndarray | None  # only the dkm variant trains centroids
     assignment: np.ndarray | None  # hard labels used by the dcn variant
 
 
-def reconstruction_loss(batch: np.ndarray, reconstruction: np.ndarray) -> tuple[float, np.ndarray]:
-    """Squared-error autoencoder loss: mean over batch, sum over features."""
+def reconstruction_loss(
+    batch: np.ndarray,
+    reconstruction: np.ndarray,
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Squared-error autoencoder loss: mean over batch, sum over features,
+    and its gradient for the reconstruction. The residual, then the
+    gradient, is written into ``out`` (an array of the batch's shape),
+    or into a new array when it is omitted."""
     batch = np.asarray(batch, dtype=np.float64)
-    resid = reconstruction - batch
+    reconstruction = np.asarray(reconstruction, dtype=np.float64)
+    resid = np.subtract(reconstruction, batch, out=out)
     b = batch.shape[0]
     value = float(np.einsum("bd,bd->", resid, resid) / b)
-    return value, 2.0 * resid / b
+    resid *= 2.0
+    resid /= b
+    return value, resid
 
 
 def combined_objective(
@@ -199,16 +209,23 @@ def combined_objective(
     params: AutoencoderParams,
     centroids: np.ndarray,
     config: LossConfig,
+    workspace: Workspace | None = None,
 ) -> CombinedResult:
     """Reconstruction + lam * clustering term, with full parameter gradients.
 
     Runs one forward pass, evaluates the configured clustering term on
     the latent codes, and backpropagates both contributions through the
     network in a single backward pass. With lam = 0 the result is
-    bitwise identical to the plain reconstruction objective.
+    bitwise identical to the plain reconstruction objective. The
+    activations, the residual and ``param_grads`` live in ``workspace``
+    (a new one sized to the batch when omitted), so the next step on it
+    overwrites them.
     """
-    cache = forward(params, batch)
-    recon, grad_recon = reconstruction_loss(cache.batch, cache.reconstruction)
+    cache = forward(params, batch, workspace)
+    b = cache.batch.shape[0]
+    recon, grad_recon = reconstruction_loss(
+        cache.batch, cache.reconstruction, cache.workspace.residual[:b]
+    )
     lam = float(config.lam)
     centroid_grads: np.ndarray | None = None
     assignment: np.ndarray | None = None

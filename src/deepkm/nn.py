@@ -1,7 +1,7 @@
 """Minimal fully-connected autoencoder with analytic gradients.
 
-Dense layers only, float64 end to end. ``forward`` caches every
-activation so ``backward`` can return exact parameter gradients for any
+Dense layers only, float64 end to end. ``forward`` keeps every layer's
+output so ``backward`` can return exact parameter gradients for any
 scalar objective, given upstream gradients on the reconstruction and,
 optionally, on the latent code. The latent hook is what lets a
 clustering loss pull on the embedding without a general autodiff graph.
@@ -11,8 +11,15 @@ the layer specs (encoder layers, then decoder layers, each weight before
 its bias), lays out both stores. A net's one store is ``params.flat``: a
 new ``AutoencoderParams`` allocates it zero-filled, and every weight and
 bias is a view of it that cannot be rebound, so values are only ever
-written in place. ``backward`` allocates one vector with the same layout,
-``Gradients.flat``, and writes each gradient into its view. So
+written in place. A training step's store is a ``Workspace``: one
+float64 arena, sized from the net and a batch height, whose views hold
+each layer's output, two ping-pong buffers for backprop, the
+reconstruction residual and the ``Gradients`` vector, laid out like
+``params.flat``; a bool buffer holds the ReLU masks. ``forward`` writes
+into the workspace it is given (a new one sized to the batch if none is)
+and ``backward`` writes into the one its cache names, so a step on a
+reused workspace allocates nothing the size of a layer or of the net,
+and the gradients it returns are overwritten by the next step. So
 ``optimizer_step`` checks once that the two layouts agree and updates
 the whole net with one SGD or Adam kernel, ``_update``: in-place ufuncs
 over the two flat vectors, walked in blocks of ``_BLOCK`` elements so
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -231,20 +238,16 @@ def init_autoencoder(
 def _run_layers(
     layers: Sequence[Layer],
     x: np.ndarray,
-    inputs: list | None = None,
-    pres: list | None = None,
+    outputs: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    for layer in layers:
-        if inputs is not None:
-            inputs.append(x)
-        pre = x @ layer.weight
-        pre += layer.bias
-        if pres is not None:
-            pres.append(pre)
+    """``x`` through ``layers``: the product, then the bias and the ReLU in
+    place. Layer i's output is written into ``outputs[i]`` when given,
+    else into a new array."""
+    for i, layer in enumerate(layers):
+        x = np.matmul(x, layer.weight, out=None if outputs is None else outputs[i])
+        x += layer.bias
         if layer.activation == "relu":
-            # In place, unless pre is kept for backward.
-            pre = np.maximum(pre, 0.0, out=None if pres is not None else pre)
-        x = pre
+            np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -282,56 +285,102 @@ def encode_blocks(params: AutoencoderParams, features: np.ndarray) -> np.ndarray
     return out
 
 
-@dataclass
+def _rows(buffer: np.ndarray, b: int, width: int) -> np.ndarray:
+    """The leading ``b * width`` elements of the 1-d ``buffer`` as a
+    C-contiguous (b, width) view."""
+    return buffer[: b * width].reshape(b, width)
+
+
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """Every buffer of a training step on batches of up to ``rows`` rows
+    through ``params``' architecture.
+
+    ``arena`` is one float64 block; ``outputs`` (each layer's
+    (rows, output_dim) output, encoder layers then decoder layers),
+    ``backprop`` (two 1-d ping-pong buffers of rows * the widest layer),
+    ``residual`` ((rows, input_dim), the reconstruction residual and then
+    its gradient) and ``grads`` (laid out like ``params.flat``) are views
+    of it. ``mask`` is a bool buffer of rows * the widest layer for the
+    ReLU masks. A batch of b < rows rows uses the leading b rows of each
+    view. The workspace holds one step at a time: the next ``forward``
+    into it overwrites the last one's outputs and gradients.
+    """
+
+    params: InitVar[AutoencoderParams]
+    rows: int
+    layout: Layout = field(init=False, repr=False)
+    arena: np.ndarray = field(init=False, repr=False)
+    outputs: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    backprop: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    residual: np.ndarray = field(init=False, repr=False)
+    grads: Gradients = field(init=False, repr=False)
+    mask: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, params: AutoencoderParams):
+        rows = int(self.rows)
+        if rows < 0:
+            raise ValueError(f"workspace rows must be >= 0, got {rows}")
+        widths = [s.output_dim for s in params.encoder_spec + params.decoder_spec]
+        wide = max(widths)
+        sizes = [params.flat.size, *(rows * w for w in widths), rows * wide, rows * wide,
+                 rows * params.input_dim]
+        arena = np.empty(sum(sizes))
+        views = [arena[end - size : end]
+                 for size, end in zip(sizes, itertools.accumulate(sizes))]
+        outputs = tuple(_rows(v, rows, w) for v, w in zip(views[1:], widths))
+        for name, value in (
+            ("rows", rows), ("layout", params.layout), ("arena", arena),
+            ("grads", Gradients(params.layout, views[0])), ("outputs", outputs),
+            ("backprop", tuple(views[-3:-1])),
+            ("residual", _rows(views[-1], rows, params.input_dim)),
+            ("mask", np.empty(rows * wide, dtype=bool)),
+        ):
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, eq=False)
 class ForwardCache:
-    """All activations of one forward pass, consumed by ``backward``."""
+    """One forward pass, consumed by ``backward``: the batch and every
+    layer's output, views of ``workspace``."""
 
     batch: np.ndarray
-    encoder_inputs: list[np.ndarray]
-    encoder_pre: list[np.ndarray]
-    latent: np.ndarray
-    decoder_inputs: list[np.ndarray]
-    decoder_pre: list[np.ndarray]
-    reconstruction: np.ndarray
+    encoder_outputs: tuple[np.ndarray, ...]
+    decoder_outputs: tuple[np.ndarray, ...]
+    workspace: Workspace
+
+    @property
+    def latent(self) -> np.ndarray:
+        return self.encoder_outputs[-1]
+
+    @property
+    def reconstruction(self) -> np.ndarray:
+        return self.decoder_outputs[-1]
 
 
-def forward(params: AutoencoderParams, batch: np.ndarray) -> ForwardCache:
-    """Full encode+decode pass, caching activations for ``backward``."""
-    batch = _check_batch(batch, params.input_dim, "forward")
-    enc_inputs: list[np.ndarray] = []
-    enc_pre: list[np.ndarray] = []
-    latent = _run_layers(params.encoder, batch, enc_inputs, enc_pre)
-    dec_inputs: list[np.ndarray] = []
-    dec_pre: list[np.ndarray] = []
-    recon = _run_layers(params.decoder, latent, dec_inputs, dec_pre)
-    return ForwardCache(batch, enc_inputs, enc_pre, latent, dec_inputs, dec_pre, recon)
+def forward(
+    params: AutoencoderParams,
+    batch: np.ndarray,
+    workspace: Workspace | None = None,
+) -> ForwardCache:
+    """Full encode+decode pass, keeping every layer's output for ``backward``.
 
-
-def _layers_backward(
-    layers: Sequence[Layer],
-    inputs: Sequence[np.ndarray],
-    pres: Sequence[np.ndarray],
-    upstream: np.ndarray,
-    out: Sequence[np.ndarray],
-    input_grad: bool = True,
-) -> np.ndarray | None:
-    """Backpropagate ``upstream`` through ``layers``, writing layer i's
-    weight and bias gradients into ``out[2i]`` and ``out[2i + 1]``.
-
-    Returns the gradient on the first layer's input; with ``input_grad``
-    false that product is skipped and None is returned.
+    The outputs are written into ``workspace`` (a new one sized to the
+    batch when omitted), overwriting its previous step: a cache from an
+    earlier call on the same workspace is then stale.
     """
-    g = upstream
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        if layer.activation == "relu":
-            g = g * (pres[i] > 0.0)
-        np.matmul(inputs[i].T, g, out=out[2 * i])
-        g.sum(axis=0, out=out[2 * i + 1])
-        if i == 0 and not input_grad:
-            return None
-        g = g @ layer.weight.T
-    return g
+    batch = _check_batch(batch, params.input_dim, "forward")
+    b = batch.shape[0]
+    if workspace is None:
+        workspace = Workspace(params, b)
+    elif workspace.layout != params.layout:
+        raise ValueError("the workspace was built for another architecture")
+    elif b > workspace.rows:
+        raise ValueError(f"a workspace of {workspace.rows} rows cannot hold a {b}-row batch")
+    outputs = [out[:b] for out in workspace.outputs]
+    _run_layers(params.encoder + params.decoder, batch, outputs)
+    split = len(params.encoder)
+    return ForwardCache(batch, tuple(outputs[:split]), tuple(outputs[split:]), workspace)
 
 
 def backward(
@@ -345,12 +394,16 @@ def backward(
     ``grad_reconstruction`` is dLoss/dReconstruction; ``grad_latent``, if
     given, is an extra dLoss/dLatent term added where the decoder's
     backward pass reaches the bottleneck (clustering losses use this).
-    The gradients are views of one new vector laid out like
-    ``params.flat``; the input gradient of encoder layer 0 is never formed.
+    A ReLU layer passes the gradient where its output is positive, which
+    is where its pre-activation was. The result is the cache's
+    ``workspace.grads``, written in place: the next step on that
+    workspace overwrites it, so a caller that keeps one step's gradients
+    copies them. The input gradient of encoder layer 0 is never formed.
     """
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward requires the ForwardCache of a prior forward() call")
-    if len(cache.encoder_pre) != len(params.encoder) or len(cache.decoder_pre) != len(params.decoder):
+    workspace = cache.workspace
+    if workspace.layout != params.layout:
         raise ValueError("forward cache does not match this architecture")
     grad_reconstruction = np.asarray(grad_reconstruction, dtype=np.float64)
     if grad_reconstruction.shape != cache.reconstruction.shape:
@@ -358,24 +411,35 @@ def backward(
             f"grad_reconstruction shape {grad_reconstruction.shape} does not match "
             f"reconstruction {cache.reconstruction.shape}"
         )
-    grads = Gradients(params.layout, np.empty(params.flat.size))
-    split = 2 * len(params.encoder)
-    g_latent = _layers_backward(
-        params.decoder, cache.decoder_inputs, cache.decoder_pre, grad_reconstruction,
-        grads.arrays[split:],
-    )
     if grad_latent is not None:
         grad_latent = np.asarray(grad_latent, dtype=np.float64)
         if grad_latent.shape != cache.latent.shape:
             raise ValueError(
                 f"grad_latent shape {grad_latent.shape} does not match latent {cache.latent.shape}"
             )
-        g_latent = g_latent + grad_latent
-    _layers_backward(
-        params.encoder, cache.encoder_inputs, cache.encoder_pre, g_latent,
-        grads.arrays[:split], input_grad=False,
-    )
-    return grads
+    layers = params.encoder + params.decoder
+    outputs = cache.encoder_outputs + cache.decoder_outputs
+    inputs = (cache.batch,) + outputs[:-1]
+    grads = workspace.grads.arrays
+    b = cache.batch.shape[0]
+    # g is the upstream gradient or lies in ``here``; the next is written to ``there``.
+    here, there = workspace.backprop
+    g = grad_reconstruction
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        if layer.activation == "relu":
+            mask = _rows(workspace.mask, b, layer.bias.size)
+            np.greater(outputs[i], 0.0, out=mask)
+            g = np.multiply(g, mask, out=_rows(here, b, layer.bias.size))
+        np.matmul(inputs[i].T, g, out=grads[2 * i])
+        g.sum(axis=0, out=grads[2 * i + 1])
+        if i == 0:
+            break
+        g = np.matmul(g, layer.weight.T, out=_rows(there, b, layer.weight.shape[0]))
+        here, there = there, here
+        if i == len(params.encoder) and grad_latent is not None:
+            g += grad_latent
+    return workspace.grads
 
 
 def _named(layout: Layout, arrays: Sequence[np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:

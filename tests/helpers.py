@@ -58,15 +58,14 @@ def relu_kink_margin(params, cache):
 
     Finite differences are only trustworthy when no pre-activation sits
     within the FD step of zero (zero-initialized biases can park a dead
-    sample exactly on the kink).
+    sample exactly on the kink). The cache keeps layer outputs, so each
+    pre-activation is recomputed from its layer's input.
     """
+    outputs = cache.encoder_outputs + cache.decoder_outputs
     vals = [np.inf]
-    for layer, pre in zip(params.encoder, cache.encoder_pre):
+    for layer, x in zip(params.encoder + params.decoder, (cache.batch,) + outputs[:-1]):
         if layer.activation == "relu":
-            vals.append(float(np.abs(pre).min()))
-    for layer, pre in zip(params.decoder, cache.decoder_pre):
-        if layer.activation == "relu":
-            vals.append(float(np.abs(pre).min()))
+            vals.append(float(np.abs(x @ layer.weight + layer.bias).min()))
     return min(vals)
 
 

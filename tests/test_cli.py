@@ -432,6 +432,24 @@ class TestMainEndToEnd:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, source", [
+        ("run", "flag"), ("run", "file"), ("suite", "flag"), ("suite", "file"),
+    ])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, source):
+        ini = tmp_path / "exp.ini"
+        key = "[train]\nseed = -1\n" if command == "run" else "[suite]\nseeds = 0,-1\n"
+        ini.write_text(key if source == "file" else "")
+        flag = ["--seed", "-1"] if command == "run" else ["--seeds", "0,-1"]
+        out = tmp_path / "out"
+        code = main([
+            command, "--config", str(ini), "--dataset", "blobs:n=10,k=2,dim=3,seed=0",
+            *(["--methods", "km"] if command == "suite" else ["--method", "km"]),
+            "--out", str(out), *FAST, *(flag if source == "flag" else []),
+        ])
+        assert code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DEEPKM_OUT", str(tmp_path / "envout"))
         code = main([

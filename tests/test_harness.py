@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import deepkm.harness as harness
 from deepkm.clustering import assign
 from deepkm.data import Dataset, make_blobs
-from deepkm.nn import encode_blocks, init_autoencoder, mirrored_spec
+from deepkm.nn import Workspace, encode_blocks, init_autoencoder, mirrored_spec
 from deepkm.harness import (
     METHODS,
     RunReport,
@@ -63,6 +64,7 @@ class TestTrainConfig:
             {"lam": float("nan")},
             {"lam": float("inf")},
             {"alpha": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -259,6 +261,34 @@ def numpy_row_running_means(latent, assignment, centroids, counts):
     return centroids
 
 
+class TestWorkspaceLifetime:
+    @pytest.mark.parametrize("method, full_encodes", [
+        ("ours", 4), ("dkm_rein", 4), ("ours_norein", 2),
+    ])
+    def test_no_workspace_is_alive_during_a_full_data_encode(
+        self, small_blobs, monkeypatch, method, full_encodes,
+    ):
+        arenas = []  # a weak reference to every epoch's arena
+
+        def tracked(params, rows):
+            workspace = Workspace(params, rows)
+            arenas.append(weakref.ref(workspace.arena))
+            return workspace
+
+        alive = []  # live arenas at each full-data encode
+
+        def encode(params, features):
+            if features.shape[0] == small_blobs.n:
+                alive.append(sum(ref() is not None for ref in arenas))
+            return encode_blocks(params, features)
+
+        monkeypatch.setattr(harness, "Workspace", tracked)
+        monkeypatch.setattr(harness, "encode_blocks", encode)
+        run_method(small_blobs, tiny_config(method=method, pretrain_epochs=2, finetune_epochs=3))
+        assert len(arenas) == 5  # one per epoch
+        assert alive == [0] * full_encodes
+
+
 class TestDcnCenterUpdate:
     @pytest.mark.parametrize("batch_size", [1, 2, 37, 256])
     def test_equals_numpy_row_loop(self, batch_size):
@@ -392,6 +422,16 @@ class TestSuite:
         method, seed, message = suite.failures[0]
         assert method == "km" and seed == 0
         assert "ValueError" in message
+
+    def test_bad_seed_or_method_fails_before_any_run(self, small_blobs, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_method",
+                            lambda dataset, config, on_batch=None: calls.append(config))
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            run_suite(small_blobs, tiny_config(), seeds=[0, -1], methods=["km"])
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
+            run_suite(small_blobs, tiny_config(), seeds=[0], methods=["km", "magic"])
+        assert calls == []
 
     def test_unset_lam_gives_each_method_its_default(self, small_blobs):
         base = tiny_config(lam=None, finetune_epochs=1)

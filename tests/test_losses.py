@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepkm.clustering import assign
 from deepkm.losses import (
@@ -17,7 +19,16 @@ from deepkm.losses import (
     dkm_weights,
     reconstruction_loss,
 )
-from deepkm.nn import forward, iter_grad_arrays, iter_param_arrays
+from deepkm.nn import (
+    Workspace,
+    forward,
+    init_autoencoder,
+    iter_grad_arrays,
+    iter_param_arrays,
+    make_optimizer,
+    mirrored_spec,
+    optimizer_step,
+)
 from helpers import draw_smooth_net, grads_close, num_grad, num_grad_inplace
 
 
@@ -125,6 +136,33 @@ class TestDkmWeights:
         g = dkm_weights(latent, centroids, 100.0)
         assert np.all(np.isfinite(g))
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
+
+
+@st.composite
+def latents_and_centroids(draw):
+    """Centroids, and latent rows that are free, exactly on a centroid
+    (ct's distance floor) or about 1e3 times farther out (large logits)."""
+    dim, k, b = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    point = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)
+    centroids = np.array(draw(st.lists(point, min_size=k, max_size=k)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "on", "far"]), min_size=b, max_size=b)):
+        if kind == "on":
+            rows.append(centroids[draw(st.integers(0, k - 1))])
+        else:
+            rows.append(np.array(draw(point)) * (1e3 if kind == "far" else 1.0))
+    return np.array(rows), centroids
+
+
+class TestWeightRows:
+    @settings(max_examples=300, deadline=None)
+    @given(latents_and_centroids(), st.floats(1e-3, 64.0), st.sampled_from([ct_weights, dkm_weights]))
+    def test_rows_are_non_negative_and_sum_to_one(self, points, alpha, weights):
+        latent, centroids = points
+        w = weights(latent, centroids, alpha)
+        assert w.shape == (latent.shape[0], centroids.shape[0])
+        assert np.all(w >= 0.0)
+        assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
 
 
 class TestCtLoss:
@@ -323,6 +361,28 @@ class TestCombinedObjective:
         result = combined_objective(batch, params, centroids, LossConfig(variant="dcn"))
         latent = forward(params, batch).latent
         assert np.array_equal(result.assignment, assign(latent, centroids))
+
+    @pytest.mark.parametrize("variant", ["ct", "dkm", "dcn"])
+    def test_reused_workspace_matches_a_fresh_one_bitwise(self, variant):
+        rng = np.random.default_rng(16)
+        params = init_autoencoder(*mirrored_spec(6, 2, (8, 5)), seed=3)
+        rows = rng.standard_normal((23, 6))
+        centroids = rng.standard_normal((3, 2))
+        config = LossConfig(variant=variant, lam=2.0)
+        state = make_optimizer("adam", learning_rate=1e-2)
+        workspace = Workspace(params, 10)
+        for start in range(0, 23, 10):  # 10, 10, then the 3-row remainder
+            batch = rows[start : start + 10]
+            got = combined_objective(batch, params, centroids, config, workspace)
+            fresh = combined_objective(batch, params, centroids, config)
+            assert got.param_grads is workspace.grads
+            assert (got.total, got.reconstruction, got.clustering) == (
+                fresh.total, fresh.reconstruction, fresh.clustering)
+            assert np.array_equal(got.param_grads.flat, fresh.param_grads.flat)
+            for a, b in ((got.centroid_grads, fresh.centroid_grads),
+                         (got.assignment, fresh.assignment)):
+                assert (a is None and b is None) or np.array_equal(a, b)
+            optimizer_step(params, got.param_grads, state)
 
     @pytest.mark.parametrize("variant", ["ct", "dkm"])
     def test_parameter_gradients_match_finite_differences(self, variant):

@@ -13,6 +13,7 @@ from deepkm.nn import (
     Gradients,
     Layer,
     LayerSpec,
+    Workspace,
     backward,
     decode,
     encode,
@@ -25,7 +26,7 @@ from deepkm.nn import (
     optimizer_step,
     step_array,
 )
-from deepkm.losses import reconstruction_loss
+from deepkm.losses import LossConfig, combined_objective, reconstruction_loss
 
 from helpers import draw_smooth_net, grads_close, num_grad_inplace
 
@@ -182,7 +183,7 @@ class TestInPlaceForwardBits:
         monkeypatch.setattr(nn, "_ENCODE_ROWS", 128)
         np.testing.assert_array_equal(nn.encode_blocks(params, rows), blocked)
 
-    def test_forward_keeps_pre_activations_for_backward(self, paper_net):
+    def test_forward_keeps_layer_outputs_for_backward(self, paper_net):
         params, rows = paper_net
         batch = rows[:256]
         latent, enc_pre = reference_layers(params.encoder, batch)
@@ -190,9 +191,12 @@ class TestInPlaceForwardBits:
         cache = forward(params, batch)
         np.testing.assert_array_equal(cache.latent, latent)
         np.testing.assert_array_equal(cache.reconstruction, recon)
-        for got, want in zip(cache.encoder_pre + cache.decoder_pre, enc_pre + dec_pre):
+        outputs = cache.encoder_outputs + cache.decoder_outputs
+        assert len(outputs) == 8
+        for layer, got, pre in zip(params.encoder + params.decoder, outputs, enc_pre + dec_pre):
+            want = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
             np.testing.assert_array_equal(got, want)
-        assert len(cache.encoder_pre + cache.decoder_pre) == 8
+            assert np.shares_memory(got, cache.workspace.arena)
 
 
 class TestBackward:
@@ -496,11 +500,11 @@ class TestFlatLayout:
             Gradients(params.layout, np.zeros(params.flat.size - 1))
 
     def test_gradients_of_two_backward_calls_do_not_alias(self):
+        # without a workspace, each forward builds its own
         params = tiny_net(seed=4)
         batch = np.random.default_rng(24).standard_normal((3, 4))
-        cache = forward(params, batch)
-        first = backward(params, cache, np.ones_like(cache.reconstruction))
-        second = backward(params, cache, np.ones_like(cache.reconstruction))
+        first = backward(params, forward(params, batch), np.ones((3, 4)))
+        second = backward(params, forward(params, batch), np.ones((3, 4)))
         assert not np.shares_memory(first.flat, second.flat)
         for (name, a), (_, b) in zip(iter_grad_arrays(first), iter_grad_arrays(second)):
             assert np.shares_memory(a, first.flat), name
@@ -522,6 +526,102 @@ class TestFlatLayout:
         assert np.array_equal(params.flat, before[0])
         assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
         assert state.step_count == before[3] == 1
+
+
+class TestWorkspace:
+    """A training step writes into one preallocated workspace."""
+
+    def test_reused_workspace_matches_fresh_passes_bitwise(self):
+        rng = np.random.default_rng(31)
+        params = init_autoencoder(*mirrored_spec(20, 4, (16, 12)), seed=5)
+        rows = rng.standard_normal((70, 20))
+        state = make_optimizer("adam", learning_rate=1e-2)
+        workspace = Workspace(params, 32)
+        for start in range(0, 70, 32):  # 32, 32, then the 6-row remainder
+            batch = rows[start : start + 32]
+            b = batch.shape[0]
+            grad_latent = rng.standard_normal((b, 4))
+            cache = forward(params, batch, workspace)
+            value, grad = reconstruction_loss(cache.batch, cache.reconstruction,
+                                              workspace.residual[:b])
+            grads = backward(params, cache, grad, grad_latent)
+            fresh = forward(params, batch)
+            fresh_value, fresh_grad = reconstruction_loss(batch, fresh.reconstruction)
+            fresh_grads = backward(params, fresh, fresh_grad, grad_latent)
+            assert fresh.workspace is not workspace
+            assert value == fresh_value
+            assert np.array_equal(cache.reconstruction, fresh.reconstruction)
+            assert np.array_equal(grads.flat, fresh_grads.flat)
+            optimizer_step(params, grads, state)
+        assert state.step_count == 3
+
+    def test_backward_on_one_workspace_reuses_its_gradient_vector(self):
+        params = tiny_net(seed=4)
+        batch = np.random.default_rng(24).standard_normal((3, 4))
+        workspace = Workspace(params, 3)
+        first = backward(params, forward(params, batch, workspace), np.ones((3, 4)))
+        kept = first.flat.copy()
+        second = backward(params, forward(params, 2.0 * batch, workspace), np.ones((3, 4)))
+        assert first is second is workspace.grads
+        assert np.shares_memory(first.flat, workspace.arena)
+        assert not np.array_equal(second.flat, kept)
+
+    def test_workspace_of_another_net_or_too_few_rows_rejected(self):
+        params = tiny_net(seed=4)
+        other = tiny_net(seed=4, m=4, latent=2, hidden=(5,))
+        batch = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="another architecture"):
+            forward(params, batch, Workspace(other, 3))
+        with pytest.raises(ValueError, match="2 rows cannot hold a 3-row batch"):
+            forward(params, batch, Workspace(params, 2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                           2.2250738585072014e-308, -2.2250738585072014e-308]),
+        min_size=1, max_size=40,
+    ))
+    def test_mask_after_the_in_place_relu_equals_pre_before_it(self, values):
+        pre = np.array(values, dtype=np.float64)
+        out = pre.copy()
+        np.maximum(out, 0.0, out=out)
+        assert np.array_equal(out > 0.0, pre > 0.0)
+        # the same through a layer: its output's mask against a linear twin's
+        # pre-activations, weights holding the values and a -0.0 bias
+        w = pre[None, :]
+        relu = AutoencoderParams([LayerSpec(1, w.size, "relu")], [LayerSpec(w.size, 1, "linear")])
+        linear = AutoencoderParams([LayerSpec(1, w.size, "linear")],
+                                   [LayerSpec(w.size, 1, "linear")])
+        for net in (relu, linear):
+            net.encoder[0].weight[...] = w
+            net.encoder[0].bias[...] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = forward(relu, np.ones((1, 1))).encoder_outputs[0]
+            want = forward(linear, np.ones((1, 1))).encoder_outputs[0]
+        assert np.array_equal(got > 0.0, want > 0.0)
+
+    def test_paper_net_step_allocates_under_four_mib(self):
+        params = init_autoencoder(*mirrored_spec(784, 10, (500, 500, 2000)), seed=0)
+        rng = np.random.default_rng(8)
+        batch = rng.random((256, 784))
+        centroids = rng.standard_normal((10, 10))
+        config = LossConfig("ct", lam=1.0)
+        state = make_optimizer("adam", learning_rate=5e-4)
+        workspace = Workspace(params, 256)
+
+        def step():
+            out = combined_objective(batch, params, centroids, config, workspace)
+            optimizer_step(params, out.param_grads, state)
+
+        step()  # warm-up: Adam's moments and first-call imports
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
 
 class TestOptimizerInputs:
