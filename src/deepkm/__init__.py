@@ -35,7 +35,6 @@ from .nn import (
     LayerSpec,
     Workspace,
     backward,
-    decode,
     encode,
     forward,
     init_autoencoder,
@@ -53,7 +52,7 @@ __all__ = [
     "CombinedResult", "LossConfig", "combined_objective", "ct_loss", "ct_weights",
     "dcn_penalty", "dkm_loss", "dkm_weights",
     "MetricsReport", "accuracy", "evaluate", "hungarian", "nmi",
-    "AutoencoderParams", "LayerSpec", "Workspace", "backward", "decode", "encode", "forward",
+    "AutoencoderParams", "LayerSpec", "Workspace", "backward", "encode", "forward",
     "init_autoencoder", "make_optimizer", "mirrored_spec", "optimizer_step",
     "__version__",
 ]

@@ -16,6 +16,9 @@ import numpy as np
 IDX_IMAGES_MAGIC = 0x00000803  # unsigned byte, rank 3
 IDX_LABELS_MAGIC = 0x00000801  # unsigned byte, rank 1
 
+# Rows per block when load_delimited peels the label column off in place.
+_PEEL_ROWS = 4096
+
 
 class IdxFormatError(ValueError):
     """Malformed IDX content; messages point at the byte offset."""
@@ -225,13 +228,27 @@ def load_delimited(
                 f"label column {label_column} out of range for {table.shape[1]} columns"
             )
         labels = integer_labels(table[:, col], f"labels in {path} column {label_column}")
-        table = np.delete(table, col, axis=1)
+        table = _drop_column(table, col)
     if minmax_scale:
         lo = table.min(axis=0)
         span = table.max(axis=0) - lo
         span[span == 0.0] = 1.0
         table = (table - lo) / span
     return Dataset(features=table, labels=labels, name=name or str(path))
+
+
+def _drop_column(table: np.ndarray, col: int) -> np.ndarray:
+    """The (n, m) ``table`` without column ``col``, as a C-contiguous view
+    of the table's own buffer (whose last n values go unused). Block by
+    block over rows, row i's other values move to offset i*(m-1), which
+    never overtakes a row not yet read, so only one block at a time is
+    copied out."""
+    n, m = table.shape
+    flat = table.reshape(-1)
+    for start in range(0, n, _PEEL_ROWS):
+        rows = np.delete(table[start : start + _PEEL_ROWS], col, axis=1)
+        flat[start * (m - 1) : start * (m - 1) + rows.size] = rows.ravel()
+    return flat[: n * (m - 1)].reshape(n, m - 1)
 
 
 # numpy's reader strips these from cells, as str.isspace does; float() keeps them.

@@ -2,7 +2,10 @@
 
 A private table maps each method to a clustering-term variant and a
 centroid schedule; ``run_method`` looks the method up and runs the one
-shared loop, ``_finetune``:
+shared loop, ``_finetune``. Every minibatch epoch of it, pretraining
+included, is one function, ``_epoch``, whose step is
+``losses.combined_objective``: a pretraining epoch is the step with no
+clustering term.
 
 * ``km``          — K-means on raw features, no network (the one run
                     outside the loop).
@@ -43,15 +46,13 @@ import numpy as np
 
 from .clustering import KMeansResult, assign, kmeans
 from .data import Dataset
-from .losses import LossConfig, combined_objective, reconstruction_loss
+from .losses import LossConfig, combined_objective
 from .metrics import MetricsReport, evaluate
 from .nn import (
     AutoencoderParams,
     OptimizerState,
     Workspace,
-    backward,
     encode_blocks,
-    forward,
     init_autoencoder,
     make_optimizer,
     mirrored_spec,
@@ -197,30 +198,57 @@ def _pretrained(dataset: Dataset, config: TrainConfig) -> tuple[dict, Autoencode
     enc, dec = mirrored_spec(dataset.m, config.latent_dim, config.hidden_dims)
     params = init_autoencoder(enc, dec, streams["init_seed"])
     opt = make_optimizer(config.optimizer, config.learning_rate)
-    losses = [_pretrain_epoch(dataset, config, params, opt, streams["pretrain_rng"], epoch)
+    losses = [_epoch(dataset, config, params, opt, streams["pretrain_rng"], epoch, None)[0]
               for epoch in range(config.pretrain_epochs)]
     return streams, params, losses
 
 
-def _pretrain_epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
-                    opt: OptimizerState, rng: np.random.Generator, epoch: int) -> float:
-    """One reconstruction-only epoch, in place; its mean loss over batches.
-    Its steps share one workspace, freed on return: before any full-data
-    encode."""
+@dataclass
+class _Term:
+    """A finetuning run's clustering term and the state its batches move:
+    the centroids, dkm's centroid optimizer, dcn's per-cluster counts,
+    and the hook called after every batch."""
+
+    config: LossConfig
+    centroids: np.ndarray
+    centroid_opt: OptimizerState
+    counts: np.ndarray
+    on_batch: BatchHook | None
+
+
+def _epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
+           opt: OptimizerState, rng: np.random.Generator, epoch: int,
+           term: _Term | None) -> tuple[float, float]:
+    """One minibatch epoch, in place: its mean reconstruction and clustering
+    terms over batches. Without ``term`` it is a pretraining epoch on
+    reconstruction alone; with it, a finetuning epoch whose batches also
+    move ``term.centroids`` as the variant says: frozen for ct, optimizer
+    steps for dkm, running means for dcn. ``opt`` steps the net. Its steps
+    share one workspace, freed on return: before any full-data encode."""
     workspace = Workspace(params, min(config.batch_size, dataset.n))
-    total, batches = 0.0, 0
+    recon_sum, clust_sum, batches = 0.0, 0.0, 0
     for idx in _batches(dataset.n, config.batch_size, rng):
-        cache = forward(params, dataset.features[idx], workspace)
-        value, grad = reconstruction_loss(cache.batch, cache.reconstruction,
-                                          workspace.residual[: idx.size])
-        if not np.isfinite(value):
-            raise FloatingPointError(
-                f"non-finite reconstruction loss at pretrain epoch {epoch}, batch {batches}"
-            )
-        optimizer_step(params, backward(params, cache, grad), opt)
-        total += value
+        batch = dataset.features[idx]
+        centroids, loss_cfg = (None, None) if term is None else (term.centroids, term.config)
+        out = combined_objective(batch, params, centroids, loss_cfg, workspace)
+        if not np.isfinite(out.total):
+            what = "reconstruction loss at pretrain" if term is None else "loss at finetune"
+            raise FloatingPointError(f"non-finite {what} epoch {epoch}, batch {batches}")
+        optimizer_step(params, out.param_grads, opt)
+        recon_sum += out.reconstruction
+        clust_sum += out.clustering
         batches += 1
-    return total / batches
+        if term is None:
+            continue
+        if loss_cfg.variant == "dkm":
+            # In place: nothing else holds this refit's centre array.
+            step_array(centroids, out.centroid_grads, term.centroid_opt, "centroids")
+        elif loss_cfg.variant == "dcn":
+            term.centroids = _dcn_center_update(params, batch, out.assignment, centroids,
+                                                term.counts)
+        if term.on_batch is not None:
+            term.on_batch(epoch, batches - 1, term.centroids.copy())
+    return recon_sum / batches, clust_sum / batches
 
 
 def _kmeans(points: np.ndarray, config: TrainConfig, rng: np.random.Generator,
@@ -286,86 +314,39 @@ def _finetune(
 
     ``variant`` picks the clustering term (None: no finetuning, as for
     aekm); ``reinit`` replaces the centroids with a fresh K-means
-    solution on full-data latents at each epoch end. Centroid motion
-    WITHIN an epoch depends on the variant: frozen for ct, optimizer
-    steps for dkm, running means for dcn.
+    solution on full-data latents at each epoch end.
     """
     started = time.perf_counter()
-    epochs = config.finetune_epochs if variant is not None else 0
     streams, params, pre_losses = _pretrained(dataset, config)
     latents = encode_blocks(params, dataset.features)
     km0 = _kmeans(latents, config, streams["kmeans0_rng"], "initial fit")
-    centroids = km0.centers
-    if epochs:
-        loss_cfg = LossConfig(variant=variant, lam=config.effective_lam, alpha=config.alpha)
+    if variant is None:
+        return _finish(config, started, dataset, latents, km0.centers, pre_losses, [], [])
+    term = _Term(LossConfig(variant=variant, lam=config.effective_lam, alpha=config.alpha),
+                 km0.centers, make_optimizer(config.optimizer, config.learning_rate),
+                 np.bincount(km0.labels, minlength=config.k).astype(np.float64), on_batch)
     opt = make_optimizer(config.optimizer, config.learning_rate)
-    centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
-    counts = np.bincount(km0.labels, minlength=config.k).astype(np.float64)
+    epochs = config.finetune_epochs
     rein_seeds = streams["rein_seeds"].spawn(epochs) if reinit else []
-    tune_rng = streams["finetune_rng"]
-
     recon_losses: list[float] = []
     clust_losses: list[float] = []
     for epoch in range(epochs):
-        recon, clust, centroids = _finetune_epoch(
-            dataset, config, params, loss_cfg, centroids, opt, centroid_opt, counts,
-            tune_rng, epoch, on_batch,
-        )
+        recon, clust = _epoch(dataset, config, params, opt, streams["finetune_rng"], epoch, term)
         recon_losses.append(recon)
         clust_losses.append(clust)
         if reinit:
             latents = encode_blocks(params, dataset.features)
             rng = np.random.default_rng(rein_seeds[epoch])
-            centroids = _kmeans(latents, config, rng, f"refit at epoch {epoch}").centers
+            term.centroids = _kmeans(latents, config, rng, f"refit at epoch {epoch}").centers
             if variant == "dkm":
-                centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
+                term.centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
 
     if epochs and not reinit:
         # Otherwise no step has changed the parameters since the last encode.
         latents = encode_blocks(params, dataset.features)
     return _finish(
-        config, started, dataset, latents, centroids, pre_losses, recon_losses, clust_losses,
+        config, started, dataset, latents, term.centroids, pre_losses, recon_losses, clust_losses,
     )
-
-
-def _finetune_epoch(
-    dataset: Dataset,
-    config: TrainConfig,
-    params: AutoencoderParams,
-    loss_cfg: LossConfig,
-    centroids: np.ndarray,
-    opt: OptimizerState,
-    centroid_opt: OptimizerState,
-    counts: np.ndarray,
-    rng: np.random.Generator,
-    epoch: int,
-    on_batch: BatchHook | None,
-) -> tuple[float, float, np.ndarray]:
-    """One finetuning epoch: its mean reconstruction and clustering terms
-    over batches, and the centroids it ends with. ``opt`` steps the net,
-    ``centroid_opt`` the dkm centroids. Its steps share one workspace,
-    freed on return: before any full-data encode."""
-    workspace = Workspace(params, min(config.batch_size, dataset.n))
-    recon_sum, clust_sum, batches = 0.0, 0.0, 0
-    for idx in _batches(dataset.n, config.batch_size, rng):
-        batch = dataset.features[idx]
-        out = combined_objective(batch, params, centroids, loss_cfg, workspace)
-        if not np.isfinite(out.total):
-            raise FloatingPointError(
-                f"non-finite loss at finetune epoch {epoch}, batch {batches}"
-            )
-        optimizer_step(params, out.param_grads, opt)
-        if loss_cfg.variant == "dkm":
-            # In place: nothing else holds this refit's centre array.
-            step_array(centroids, out.centroid_grads, centroid_opt, "centroids")
-        elif loss_cfg.variant == "dcn":
-            centroids = _dcn_center_update(params, batch, out.assignment, centroids, counts)
-        recon_sum += out.reconstruction
-        clust_sum += out.clustering
-        batches += 1
-        if on_batch is not None:
-            on_batch(epoch, batches - 1, centroids.copy())
-    return recon_sum / batches, clust_sum / batches, centroids
 
 
 def _dcn_center_update(

@@ -14,6 +14,11 @@ differs only in the logits of its softmax weights (``_weights``):
 * ``dcn`` — hard nearest-centroid assignment with a 0.5 * ||z - r||^2
   penalty; centroids follow running per-cluster means elsewhere.
 
+``combined_objective`` is the one training step of every phase: the
+reconstruction loss plus ``lam`` times the configured term, through one
+forward and one backward pass. Pretraining is the same step with no
+term.
+
 All values are means over the batch so the coefficient ``lam`` is
 batch-size independent. Weight computations run in log space with
 max-subtraction, so large exponents stay finite.
@@ -179,7 +184,7 @@ def dcn_penalty(
 class CombinedResult:
     total: float
     reconstruction: float
-    clustering: float  # unscaled clustering term; total = recon + lam * this
+    clustering: float  # unscaled clustering term (0 without one); total = recon + lam * this
     param_grads: Gradients  # the workspace's: the next step on it overwrites them
     centroid_grads: np.ndarray | None  # only the dkm variant trains centroids
     assignment: np.ndarray | None  # hard labels used by the dcn variant
@@ -207,42 +212,40 @@ def reconstruction_loss(
 def combined_objective(
     batch: np.ndarray,
     params: AutoencoderParams,
-    centroids: np.ndarray,
-    config: LossConfig,
+    centroids: np.ndarray | None,
+    config: LossConfig | None,
     workspace: Workspace | None = None,
 ) -> CombinedResult:
     """Reconstruction + lam * clustering term, with full parameter gradients.
 
     Runs one forward pass, evaluates the configured clustering term on
     the latent codes, and backpropagates both contributions through the
-    network in a single backward pass. With lam = 0 the result is
-    bitwise identical to the plain reconstruction objective. The
-    activations, the residual and ``param_grads`` live in ``workspace``
-    (a new one sized to the batch when omitted), so the next step on it
-    overwrites them.
+    network in a single backward pass. ``centroids`` and ``config`` both
+    None mean no clustering term: the reconstruction objective alone,
+    as pretraining uses it, with ``clustering`` 0 and ``total`` equal to
+    ``reconstruction``. With lam = 0 the gradients are bitwise those of
+    no term. The activations, the residual and ``param_grads`` live in
+    ``workspace`` (a new one sized to the batch when omitted), so the
+    next step on it overwrites them.
     """
+    if (centroids is None) != (config is None):
+        raise ValueError("centroids and config must both be given, or both be None")
     cache = forward(params, batch, workspace)
     b = cache.batch.shape[0]
     recon, grad_recon = reconstruction_loss(
         cache.batch, cache.reconstruction, cache.workspace.residual[:b]
     )
-    lam = float(config.lam)
-    centroid_grads: np.ndarray | None = None
-    assignment: np.ndarray | None = None
-    if config.variant == "ct":
+    lam, variant = (0.0, None) if config is None else (float(config.lam), config.variant)
+    clust, grad_latent, centroid_grads, assignment = 0.0, None, None, None
+    if variant == "ct":
         clust, grad_latent = ct_loss(cache.latent, centroids, config)
-    elif config.variant == "dkm":
+    elif variant == "dkm":
         clust, grad_latent, centroid_grads = dkm_loss(cache.latent, centroids, config)
-        centroid_grads = lam * centroid_grads
-    else:
+        centroid_grads = lam * centroid_grads if lam else np.zeros_like(centroids)
+    elif variant == "dcn":
         assignment = assign(cache.latent, centroids)
         clust, grad_latent = dcn_penalty(cache.latent, centroids, assignment)
-    if lam == 0.0:
-        param_grads = backward(params, cache, grad_recon)
-        if centroid_grads is not None:
-            centroid_grads = np.zeros_like(centroids)
-    else:
-        param_grads = backward(params, cache, grad_recon, lam * grad_latent)
+    param_grads = backward(params, cache, grad_recon, lam * grad_latent if lam else None)
     return CombinedResult(
         total=recon + lam * clust,
         reconstruction=recon,

@@ -1,10 +1,12 @@
 """Minimal fully-connected autoencoder with analytic gradients.
 
-Dense layers only, float64 end to end. ``forward`` keeps every layer's
-output so ``backward`` can return exact parameter gradients for any
-scalar objective, given upstream gradients on the reconstruction and,
-optionally, on the latent code. The latent hook is what lets a
-clustering loss pull on the embedding without a general autodiff graph.
+Dense layers only, float64 end to end. ``encode`` and ``encode_blocks``
+map rows to latent codes; the decoder runs only inside ``forward``,
+which keeps every layer's output so ``backward`` can return exact
+parameter gradients for any scalar objective, given upstream gradients
+on the reconstruction and, optionally, on the latent code. The latent
+hook is what lets a clustering loss pull on the embedding without a
+general autodiff graph.
 
 Memory layout: one list of named shapes, ``layout``, computed once from
 the layer specs (encoder layers, then decoder layers, each weight before
@@ -198,9 +200,6 @@ class AutoencoderParams:
         twin.flat[...] = self.flat
         return twin
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flat).all())
-
 
 @dataclass(frozen=True, eq=False)
 class Gradients:
@@ -264,12 +263,6 @@ def encode(params: AutoencoderParams, batch: np.ndarray) -> np.ndarray:
     """Map a (B, input_dim) batch to its (B, latent_dim) embedding."""
     batch = _check_batch(batch, params.input_dim, "encode")
     return _run_layers(params.encoder, batch)
-
-
-def decode(params: AutoencoderParams, latent: np.ndarray) -> np.ndarray:
-    """Map a (B, latent_dim) embedding back to (B, input_dim)."""
-    latent = _check_batch(latent, params.latent_dim, "decode")
-    return _run_layers(params.decoder, latent)
 
 
 def encode_blocks(params: AutoencoderParams, features: np.ndarray) -> np.ndarray:
@@ -536,8 +529,10 @@ def optimizer_step(
     """Apply one in-place update. SGD: p -= lr*g; Adam: bias-corrected moments.
 
     The gradients' layout (a ValueError names the first tensor that differs)
-    and finiteness are checked before any parameter or moment moves; then
-    one ``_update`` runs over ``params.flat``.
+    and finiteness (block by block into one block-sized mask; a
+    FloatingPointError names the first tensor holding a NaN or inf) are
+    checked before any parameter or moment moves; then one ``_update``
+    runs over ``params.flat``.
     """
     if grads.layout != params.layout:
         p, g = next(pair for pair in itertools.zip_longest(params.layout, grads.layout)
@@ -546,10 +541,12 @@ def optimizer_step(
             f"gradients do not match the parameters at {(p or g)[0]}: "
             f"shape {p and p[1]} vs {g and g[1]}"
         )
-    if not np.isfinite(grads.flat).all():
-        for name, g in iter_grad_arrays(grads):
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient in {name}")
+    finite = np.empty(min(grads.flat.size, _BLOCK), dtype=bool)
+    for start in range(0, grads.flat.size, _BLOCK):
+        block = grads.flat[start : start + _BLOCK]
+        if not np.isfinite(block, out=finite[: block.size]).all():
+            name = next(name for name, g in iter_grad_arrays(grads) if not np.isfinite(g).all())
+            raise FloatingPointError(f"non-finite gradient in {name}")
     _update(params.flat, grads.flat, state)
     return params, state
 

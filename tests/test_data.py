@@ -311,6 +311,27 @@ class TestLoadDelimited:
         assert peak < 3 * table.nbytes
         np.testing.assert_array_equal(ds.features, table[:, :-1])
 
+    @pytest.mark.parametrize("label_column", [0, 5, -1])
+    def test_peeling_the_label_column_copies_no_table(self, tmp_path, label_column):
+        # the features move within the table's buffer, one block of rows
+        # at a time, so no second table-sized array is made
+        p = tmp_path / "t.csv"
+        rng = np.random.default_rng(1)
+        table = rng.standard_normal((20000, 17))
+        table[:, label_column] = rng.integers(0, 10, 20000)
+        np.savetxt(p, table, delimiter=",")
+        load_delimited(p, label_column=label_column)
+        tracemalloc.start()
+        try:
+            ds = load_delimited(p, label_column=label_column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table.nbytes, peak / table.nbytes
+        np.testing.assert_array_equal(ds.features, np.delete(table, label_column, axis=1))
+        np.testing.assert_array_equal(ds.labels, table[:, label_column])
+        assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
+
 
 def _load_outcome(path, **kwargs):
     """What load_delimited makes of a file, and that it warned nothing."""

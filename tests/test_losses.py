@@ -21,6 +21,7 @@ from deepkm.losses import (
 )
 from deepkm.nn import (
     Workspace,
+    backward,
     forward,
     init_autoencoder,
     iter_grad_arrays,
@@ -311,18 +312,31 @@ class TestCombinedObjective:
             result = combined_objective(batch, params, centroids, config)
             assert result.total == result.reconstruction + 7.0 * result.clustering
 
-    def test_lam_zero_is_bitwise_pure_reconstruction(self):
+    @pytest.mark.parametrize("variant", ["ct", "dkm", "dcn"])
+    def test_lam_zero_is_bitwise_pure_reconstruction(self, variant):
         rng = np.random.default_rng(10)
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((2, 2))
-        from deepkm.nn import backward
-
-        result = combined_objective(batch, params, centroids, LossConfig(lam=0.0))
+        result = combined_objective(batch, params, centroids, LossConfig(variant, lam=0.0))
+        no_term = combined_objective(batch, params, None, None)
         cache = forward(params, batch)
         _, grad_recon = reconstruction_loss(batch, cache.reconstruction)
         pure = backward(params, cache, grad_recon)
-        for (_, a), (_, b) in zip(iter_grad_arrays(result.param_grads), iter_grad_arrays(pure)):
-            assert np.array_equal(a, b)
+        for got in (result, no_term):
+            for (_, a), (_, b) in zip(iter_grad_arrays(got.param_grads), iter_grad_arrays(pure)):
+                assert np.array_equal(a, b)
+        assert result.reconstruction == no_term.reconstruction
+        assert result.total == no_term.total == no_term.reconstruction
+        assert (no_term.clustering, no_term.centroid_grads, no_term.assignment) == (0.0, None, None)
+
+    @pytest.mark.parametrize("centroids, config", [
+        (np.zeros((2, 2)), None), (None, LossConfig()),
+    ])
+    def test_a_term_needs_both_centroids_and_config(self, centroids, config):
+        rng = np.random.default_rng(10)
+        params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
+        with pytest.raises(ValueError, match="both be given, or both be None"):
+            combined_objective(batch, params, centroids, config)
 
     def test_lam_zero_dkm_freezes_centroids(self):
         rng = np.random.default_rng(11)
