@@ -12,8 +12,10 @@ Subcommands:
                 principal components, write a plottable TSV.
 
 Settings come from (highest precedence first) command-line flags, an INI
-experiment file (``--config``), then built-in defaults. The output
-directory defaults to ``$DEEPKM_OUT`` or ``./deepkm_out``.
+experiment file (``--config``), then ``TrainConfig``'s defaults, the only
+place a training default is declared. ``parse_cli`` resolves them into
+the argparse namespace's ``train`` config. The output directory defaults
+to ``$DEEPKM_OUT`` or ``./deepkm_out``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,20 +42,6 @@ from .harness import (
 from .metrics import evaluate
 
 SUITE_HEADER = "method\tacc_mean\tacc_std\tnmi_mean\tnmi_std"
-
-
-@dataclass
-class ExperimentFile:
-    """Fully resolved invocation: what to run, on what, where to write."""
-
-    command: str
-    dataset_spec: str | None
-    methods: list[str]
-    seeds: list[int]
-    overrides: dict = field(default_factory=dict)  # TrainConfig fields
-    out_dir: str = ""
-    pred_path: str | None = None
-    truth_path: str | None = None
 
 
 def _parse_kv(body: str, what: str) -> dict[str, str]:
@@ -228,19 +216,20 @@ def _build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPa
     return parser
 
 
-def parse_cli(argv: list[str]) -> ExperimentFile:
-    """Resolve argv (plus any --config file) into one ExperimentFile.
+def parse_cli(argv: list[str]) -> argparse.Namespace:
+    """Resolve argv (plus any --config file) into the argparse namespace.
 
     A first parse finds ``--config``; the second parses with the file's
     values as the flags' defaults, so flags beat the file, the file beats
-    the built-in defaults, and both go through the same conversions."""
+    the built-in defaults, and both go through the same conversions.
+    Except for ``eval``, the namespace gains ``train``, the ``TrainConfig``
+    of the settings given (its own defaults fill the rest) with the first
+    method and seed; ``suite`` also gets ``seeds``, the resolved seed
+    list. A bad setting, for any seed, is a usage error (exit 2)."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":
-        return ExperimentFile(
-            command="eval", dataset_spec=None, methods=[], seeds=[],
-            out_dir=args.out or "", pred_path=args.pred, truth_path=args.truth,
-        )
+        return args
     if args.config:
         try:
             defaults = _read_config_file(args.config)
@@ -248,44 +237,31 @@ def parse_cli(argv: list[str]) -> ExperimentFile:
             parser.error(str(exc))
         args = _build_parser(defaults).parse_args(argv)
 
-    overrides = {name: getattr(args, name) for name in _TRAIN_FIELDS
-                 if getattr(args, name, None) is not None}
-    seeds = [overrides.get("seed", 0)]
+    fields = {name: getattr(args, name) for name in _TRAIN_FIELDS
+              if getattr(args, name, None) is not None}
     if args.command == "suite":
-        methods = args.methods
-        if args.seeds:
-            seeds = list(args.seeds)
-        if not methods:
+        if not args.methods:
             parser.error("suite needs --methods or a [suite] methods entry")
-        unknown = [m for m in methods if m not in METHODS]
+        unknown = [m for m in args.methods if m not in METHODS]
         if unknown:
             parser.error(f"unknown method(s) {unknown}; choose from {METHODS}")
-    else:
-        methods = [overrides.get("method", "ours")]
+        fields["method"] = args.methods[0]
+        if args.seeds:
+            fields["seed"] = args.seeds[0]
     if not args.dataset:
         parser.error("no dataset given (use --dataset or a [dataset] source entry)")
-
-    exp = ExperimentFile(
-        command=args.command, dataset_spec=args.dataset, methods=methods,
-        seeds=seeds, overrides=overrides, out_dir=args.out or "",
-    )
     try:
-        for seed in seeds:
-            _effective_config(exp, seed)
+        args.train = TrainConfig(**fields)
+        if args.command == "suite":
+            args.seeds = list(args.seeds or [args.train.seed])
+            for seed in args.seeds[1:]:
+                replace(args.train, seed=seed)
     except ValueError as exc:
         parser.error(str(exc))
-    return exp
+    return args
 
 
-def _effective_config(exp: ExperimentFile, seed: int | None = None) -> TrainConfig:
-    """The config of the first method and ``seed`` (by default the first
-    seed); an unset lam means each method's default."""
-    fields = {k: v for k, v in exp.overrides.items() if k not in ("method", "seed")}
-    return TrainConfig(method=exp.methods[0], seed=int(exp.seeds[0] if seed is None else seed),
-                       **fields)
-
-
-def resolve_out_dir(out_dir: str) -> Path:
+def resolve_out_dir(out_dir: str | Path | None) -> Path:
     path = Path(out_dir or os.environ.get("DEEPKM_OUT") or "deepkm_out")
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -296,7 +272,7 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def emit_report(reports: RunReport | list[RunReport], out_dir: str | Path,
+def emit_report(reports: RunReport | list[RunReport], out_dir: str | Path | None,
                 suite: SuiteResult | None = None) -> list[Path]:
     """Write per-run JSON + loss TSVs (and suite.tsv when given).
 
@@ -305,7 +281,7 @@ def emit_report(reports: RunReport | list[RunReport], out_dir: str | Path,
     """
     if isinstance(reports, RunReport):
         reports = [reports]
-    out = resolve_out_dir(str(out_dir))
+    out = resolve_out_dir(out_dir)
     written: list[Path] = []
     for report in reports:
         stem = f"{report.method}_seed{report.seed}"
@@ -356,14 +332,12 @@ def project_2d(latents: np.ndarray) -> np.ndarray:
     return centered @ components
 
 
-def write_projection(path: Path, coords: np.ndarray,
-                     assignment: np.ndarray | None = None,
-                     truth: np.ndarray | None = None) -> None:
+def write_projection(path: Path, coords: np.ndarray, assignment: np.ndarray,
+                     truth: np.ndarray | None) -> None:
     header = ["x", "y", "pred"] + (["truth"] if truth is not None else [])
     lines = ["\t".join(header)]
     for i in range(coords.shape[0]):
-        row = [repr(float(coords[i, 0])), repr(float(coords[i, 1]))]
-        row.append(str(int(assignment[i])) if assignment is not None else "")
+        row = [repr(float(coords[i, 0])), repr(float(coords[i, 1])), str(int(assignment[i]))]
         if truth is not None:
             row.append(str(int(truth[i])))
         lines.append("\t".join(row))
@@ -396,9 +370,9 @@ def _parse_label_lines(path: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _cmd_eval(exp: ExperimentFile) -> int:
-    pred = _load_label_file(exp.pred_path)
-    truth = _load_label_file(exp.truth_path)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    pred = _load_label_file(args.pred)
+    truth = _load_label_file(args.truth)
     report = evaluate(pred, truth)
     payload = {
         "acc": float(report.acc),
@@ -408,8 +382,8 @@ def _cmd_eval(exp: ExperimentFile) -> int:
     }
     text = json.dumps(payload, indent=2)
     print(text)
-    if exp.out_dir:
-        _write_text(resolve_out_dir(exp.out_dir) / "metrics.json", text + "\n")
+    if args.out:
+        _write_text(resolve_out_dir(args.out) / "metrics.json", text + "\n")
     return 0
 
 
@@ -425,43 +399,43 @@ def _print_run_line(report: RunReport) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        exp = parse_cli(sys.argv[1:] if argv is None else argv)
+        args = parse_cli(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        if exp.command == "eval":
-            return _cmd_eval(exp)
-        dataset = parse_dataset_spec(exp.dataset_spec)
+        if args.command == "eval":
+            return _cmd_eval(args)
+        dataset = parse_dataset_spec(args.dataset)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if exp.command == "suite":
-        result = run_suite(dataset, _effective_config(exp), exp.seeds, exp.methods)
-        paths = emit_report(result.reports, exp.out_dir, suite=result)
+    if args.command == "suite":
+        result = run_suite(dataset, args.train, args.seeds, args.methods)
+        paths = emit_report(result.reports, args.out, suite=result)
         for report in result.reports:
             _print_run_line(report)
         for method, seed, message in result.failures:
             print(f"FAILED {method} seed={seed}: {message}", file=sys.stderr)
-        print(f"wrote {len(paths)} files to {resolve_out_dir(exp.out_dir)}")
+        print(f"wrote {len(paths)} files to {resolve_out_dir(args.out)}")
         return 0 if not result.failures else 1
 
-    if exp.command in ("run", "project"):
+    if args.command in ("run", "project"):
         try:
-            report = run_method(dataset, _effective_config(exp))
+            report = run_method(dataset, args.train)
         except Exception as exc:  # noqa: BLE001 - surface as exit status
             print(f"error: run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-        paths = emit_report(report, exp.out_dir)
-        if exp.command == "project":
+        paths = emit_report(report, args.out)
+        if args.command == "project":
             coords = project_2d(report.latents)
-            out = resolve_out_dir(exp.out_dir)
+            out = resolve_out_dir(args.out)
             paths = [out / f"{report.method}_seed{report.seed}_projection.tsv"]
             write_projection(paths[0], coords, report.assignment, dataset.labels)
         _print_run_line(report)
         print(f"wrote {', '.join(str(p) for p in paths)}")
         return 0
 
-    print(f"error: unknown command {exp.command!r}", file=sys.stderr)
+    print(f"error: unknown command {args.command!r}", file=sys.stderr)
     return 2

@@ -121,7 +121,7 @@ def _parse_idx(raw: bytes, path: str, magic: int, rank: int) -> np.ndarray:
     return data.reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str | None = None, name: str | None = None) -> Dataset:
+def load_idx(images_path: str, labels_path: str | None = None) -> Dataset:
     """Load big-endian IDX images (magic 0x00000803) scaled to [0,1].
 
     Images of h x w are flattened row-major to h*w features. If
@@ -141,7 +141,7 @@ def load_idx(images_path: str, labels_path: str | None = None, name: str | None 
                 f"{n} images in {images_path}"
             )
         labels = labels.astype(np.int64)
-    return Dataset(features=features, labels=labels, name=name or str(images_path))
+    return Dataset(features=features, labels=labels, name=str(images_path))
 
 
 def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
@@ -233,7 +233,8 @@ def load_delimited(
         lo = table.min(axis=0)
         span = table.max(axis=0) - lo
         span[span == 0.0] = 1.0
-        table = (table - lo) / span
+        table -= lo
+        table /= span
     return Dataset(features=table, labels=labels, name=name or str(path))
 
 

@@ -36,7 +36,6 @@ each other bit for bit.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -109,11 +108,8 @@ class TrainConfig:
             raise ValueError("k, batch_size and latent_dim must be positive")
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
-        if self.lam is not None and not 0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.kmeans_max_iters < 1 or self.kmeans_tol < 0:
+        LossConfig("ct", self.effective_lam, self.alpha)  # its lam and alpha checks, not a copy
+        if self.kmeans_max_iters < 1 or not self.kmeans_tol >= 0:
             raise ValueError("bad kmeans settings")
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if any(h < 1 for h in self.hidden_dims):
@@ -143,7 +139,7 @@ class RunReport:
     centroids: np.ndarray
     metrics: MetricsReport | None
     wall_clock: float
-    latents: np.ndarray | None = None  # in-memory only, never serialized
+    latents: np.ndarray  # in-memory only, never serialized
 
     def to_json_dict(self) -> dict:
         """Stable-order plain-python form for serialization."""
@@ -242,7 +238,7 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
             continue
         if loss_cfg.variant == "dkm":
             # In place: nothing else holds this refit's centre array.
-            step_array(centroids, out.centroid_grads, term.centroid_opt, "centroids")
+            step_array(centroids, out.centroid_grads, term.centroid_opt)
         elif loss_cfg.variant == "dcn":
             term.centroids = _dcn_center_update(params, batch, out.assignment, centroids,
                                                 term.counts)

@@ -26,6 +26,7 @@ max-subtraction, so large exponents stay finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,17 @@ DISTANCE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class LossConfig:
-    variant: str = "ct"
-    lam: float = 10.0  # clustering-term coefficient
-    alpha: float = 3.0  # weight sharpness exponent
+    variant: str
+    lam: float  # clustering-term coefficient
+    alpha: float  # weight sharpness exponent
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
 
 
 def _pairwise(latent: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,8 @@ over the two flat vectors, walked in blocks of ``_BLOCK`` elements so
 that the slices and two block-sized scratch buffers stay in cache. Each
 element goes through the same operations in the same order as the
 textbook per-tensor formulas, so the bits do not depend on the layout or
-the block size. ``step_array`` runs the same kernel on any other array
-(the dkm centroids).
+the block size. ``step_array`` runs the same kernel on the dkm
+centroids.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class LayerSpec:
 
     input_dim: int
     output_dim: int
-    activation: str = "relu"
+    activation: str
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
@@ -76,8 +76,8 @@ class LayerSpec:
 
 def mirrored_spec(
     input_dim: int,
-    latent_dim: int = 10,
-    hidden_dims: Sequence[int] = (500, 500, 2000),
+    latent_dim: int,
+    hidden_dims: Sequence[int],
 ) -> tuple[list[LayerSpec], list[LayerSpec]]:
     """Build encoder/decoder specs: ReLU hidden stack, linear final layers.
 
@@ -456,16 +456,16 @@ class OptimizerState:
 
     kind: str
     learning_rate: float
-    step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
+    step_count: int = field(init=False, default=0)
+    m: np.ndarray | None = field(init=False, default=None)
+    v: np.ndarray | None = field(init=False, default=None)
 
 
-def make_optimizer(kind: str = "adam", learning_rate: float = 1e-3) -> OptimizerState:
+def make_optimizer(kind: str, learning_rate: float) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer kind {kind!r}")
-    if not learning_rate > 0:
-        raise ValueError("learning_rate must be positive")
+    if not 0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
     return OptimizerState(kind=kind, learning_rate=learning_rate)
 
 
@@ -551,14 +551,14 @@ def optimizer_step(
     return params, state
 
 
-def step_array(array: np.ndarray, grad: np.ndarray, state: OptimizerState, name: str = "array") -> None:
-    """One in-place SGD or Adam step on a C-contiguous float64 ``array``
-    (the dkm centroids), with the kernel of ``optimizer_step``."""
+def step_array(array: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
+    """One in-place SGD or Adam step on the dkm centroids, a C-contiguous
+    float64 ``array``, with the kernel of ``optimizer_step``."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != array.shape:
-        raise ValueError(f"gradient shape mismatch for {name}: {array.shape} vs {grad.shape}")
+        raise ValueError(f"gradient shape mismatch for centroids: {array.shape} vs {grad.shape}")
     if array.dtype != np.float64 or not array.flags.c_contiguous:
-        raise ValueError(f"{name} must be a C-contiguous float64 array to be updated in place")
+        raise ValueError("centroids must be a C-contiguous float64 array to be updated in place")
     if not np.isfinite(grad).all():
-        raise FloatingPointError(f"non-finite gradient in {name}")
+        raise FloatingPointError("non-finite gradient in centroids")
     _update(array.reshape(-1), grad.ravel(), state)

@@ -83,9 +83,9 @@ def test_criterion_1_gradient_exactness():
             centroids = rng.standard_normal((k, latent))
 
         if kind == "recon":
-            config = LossConfig(variant="ct", lam=0.0)
+            config = LossConfig("ct", lam=0.0, alpha=3.0)
         else:
-            config = LossConfig(variant=kind, lam=2.5)
+            config = LossConfig(kind, lam=2.5, alpha=3.0)
         result = combined_objective(batch, params, centroids, config)
 
         def total():

@@ -8,7 +8,6 @@ import pytest
 
 from deepkm.cli import (
     SUITE_HEADER,
-    _effective_config,
     _load_label_file,
     _parse_label_lines,
     emit_report,
@@ -108,39 +107,33 @@ class TestDatasetSpec:
 
 class TestParseCli:
     def test_run_defaults(self):
-        exp = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2"])
-        assert exp.command == "run"
-        assert exp.methods == ["ours"]
-        assert exp.seeds == [0]
-        assert "lam" not in exp.overrides
+        args = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2"])
+        assert args.command == "run"
+        assert args.train == TrainConfig()
+        assert args.train.lam is None
 
     def test_flags_collected(self):
-        exp = parse_cli([
+        args = parse_cli([
             "run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "dkm",
             "--seed", "7", "--k", "3", "--lambda", "2.5", "--epochs", "4",
             "--hidden-dims", "16,8",
         ])
-        assert exp.methods == ["dkm"]
-        assert exp.seeds == [7]
-        assert exp.overrides["k"] == 3
-        assert exp.overrides["lam"] == 2.5
-        assert exp.overrides["finetune_epochs"] == 4
-        assert exp.overrides["hidden_dims"] == (16, 8)
-        assert "lam" in exp.overrides
+        assert args.train == TrainConfig(method="dkm", seed=7, k=3, lam=2.5,
+                                         finetune_epochs=4, hidden_dims=(16, 8))
 
     def test_lambda_default_tracks_method(self):
-        exp = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "dkm"])
-        assert _effective_config(exp).effective_lam == 1.0
-        exp = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "ours"])
-        assert _effective_config(exp).effective_lam == 10.0
+        args = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "dkm"])
+        assert args.train.effective_lam == 1.0
+        args = parse_cli(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--method", "ours"])
+        assert args.train.effective_lam == 10.0
 
     def test_suite_lists(self):
-        exp = parse_cli([
+        args = parse_cli([
             "suite", "--dataset", "blobs:n=5,k=2,dim=2",
             "--methods", "km,aekm", "--seeds", "0,1,2",
         ])
-        assert exp.methods == ["km", "aekm"]
-        assert exp.seeds == [0, 1, 2]
+        assert args.methods == ["km", "aekm"]
+        assert args.seeds == [0, 1, 2]
 
     def test_suite_requires_methods(self):
         with pytest.raises(SystemExit):
@@ -166,7 +159,9 @@ class TestParseCli:
         ("hidden_dims", "--hidden-dims", "4,0", "hidden widths must be positive"),
         ("optimizer", "--optimizer", "rmsprop", "'rmsprop'"),
         ("finetune_epochs", "--epochs", "x", "argument --epochs: invalid int value: 'x'"),
-    ], ids=["learning_rate", "hidden_dims", "optimizer", "epochs"])
+        ("learning_rate", "--learning-rate", "inf",
+         "learning_rate must be positive and finite, got inf"),
+    ], ids=["learning_rate", "hidden_dims", "optimizer", "epochs", "learning_rate_inf"])
     def test_out_of_range_settings_rejected_at_parse_time(
         self, tmp_path, capsys, source, key, flag, value, message,
     ):
@@ -180,10 +175,10 @@ class TestParseCli:
         assert message in capsys.readouterr().err
 
     def test_eval_passthrough(self):
-        exp = parse_cli(["eval", "--pred", "a.txt", "--truth", "b.txt"])
-        assert exp.command == "eval"
-        assert exp.pred_path == "a.txt"
-        assert exp.truth_path == "b.txt"
+        args = parse_cli(["eval", "--pred", "a.txt", "--truth", "b.txt"])
+        assert args.command == "eval"
+        assert args.pred == "a.txt"
+        assert args.truth == "b.txt"
 
     def test_config_file_supplies_everything(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -193,20 +188,19 @@ class TestParseCli:
             "[suite]\nmethods = km,dcn\nseeds = 4,5\n"
             "[output]\ndir = somewhere\n"
         )
-        exp = parse_cli(["suite", "--config", str(ini)])
-        assert exp.dataset_spec == "blobs:n=5,k=2,dim=2"
-        assert exp.methods == ["km", "dcn"]
-        assert exp.seeds == [4, 5]
-        assert exp.overrides["lam"] == 1.5
-        assert "lam" in exp.overrides
-        assert exp.out_dir == "somewhere"
+        args = parse_cli(["suite", "--config", str(ini)])
+        assert args.dataset == "blobs:n=5,k=2,dim=2"
+        assert args.methods == ["km", "dcn"]
+        assert args.seeds == [4, 5]
+        assert args.train == TrainConfig(method="km", seed=4, k=2, lam=1.5)
+        assert args.out == "somewhere"
 
     def test_flags_override_config_file(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text("[dataset]\nsource = blobs:n=5,k=2,dim=2\n[train]\nlambda = 1\nseed = 3\n")
-        exp = parse_cli(["run", "--config", str(ini), "--lambda", "10", "--seed", "8"])
-        assert exp.overrides["lam"] == 10.0
-        assert exp.seeds == [8]
+        args = parse_cli(["run", "--config", str(ini), "--lambda", "10", "--seed", "8"])
+        assert args.train.lam == 10.0
+        assert args.train.seed == 8
 
     def test_unknown_config_key_rejected(self, tmp_path):
         ini = tmp_path / "exp.ini"

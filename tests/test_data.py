@@ -332,6 +332,30 @@ class TestLoadDelimited:
         np.testing.assert_array_equal(ds.labels, table[:, label_column])
         assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
 
+    @pytest.mark.parametrize("label_column", [None, -1])
+    def test_minmax_scaling_rescales_in_place(self, tmp_path, label_column):
+        # the rescale makes no table-sized temporary, and each value goes
+        # through the same subtraction and division as (x - lo) / span
+        p = tmp_path / "t.csv"
+        rng = np.random.default_rng(2)
+        features = rng.standard_normal((20000, 16))
+        features[:, 3] = 0.25  # a constant column divides by 1
+        table = features if label_column is None else np.column_stack(
+            [features, rng.integers(0, 10, 20000)])
+        np.savetxt(p, table, delimiter=",")
+        load_delimited(p, label_column=label_column, minmax_scale=True)
+        tracemalloc.start()
+        try:
+            ds = load_delimited(p, label_column=label_column, minmax_scale=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * features.nbytes, peak / features.nbytes
+        lo = features.min(axis=0)
+        span = features.max(axis=0) - lo
+        span[span == 0.0] = 1.0
+        np.testing.assert_array_equal(ds.features, (features - lo) / span)
+
 
 def _load_outcome(path, **kwargs):
     """What load_delimited makes of a file, and that it warned nothing."""

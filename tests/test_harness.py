@@ -65,6 +65,8 @@ class TestTrainConfig:
             {"lam": float("inf")},
             {"alpha": float("nan")},
             {"seed": -1},
+            {"kmeans_tol": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

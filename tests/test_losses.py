@@ -34,23 +34,21 @@ from helpers import draw_smooth_net, grads_close, num_grad, num_grad_inplace
 
 
 class TestLossConfig:
-    def test_defaults(self):
-        config = LossConfig()
-        assert config.variant == "ct"
-        assert config.lam == 10.0
-        assert config.alpha == 3.0
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"variant": "soft"},
             {"lam": -0.5},
             {"alpha": 0.0},
+            {"lam": float("nan")},
+            {"lam": float("inf")},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            LossConfig(**kwargs)
+            LossConfig(**{"variant": "ct", "lam": 10.0, "alpha": 3.0, **kwargs})
 
 
 class TestCtWeights:
@@ -169,20 +167,20 @@ class TestWeightRows:
 class TestCtLoss:
     def test_variant_guard(self):
         with pytest.raises(ValueError):
-            ct_loss(np.zeros((1, 2)), np.zeros((1, 2)), LossConfig(variant="dkm"))
+            ct_loss(np.zeros((1, 2)), np.zeros((1, 2)), LossConfig("dkm", lam=10.0, alpha=3.0))
 
     def test_single_centroid_closed_form(self):
         # K=1 forces w=1, so the loss is the mean squared distance and the
         # weight term of the gradient vanishes
         latent = np.array([[1.0, 2.0], [3.0, -1.0]])
         centroids = np.array([[0.0, 0.0]])
-        value, grad = ct_loss(latent, centroids, LossConfig())
+        value, grad = ct_loss(latent, centroids, LossConfig("ct", lam=10.0, alpha=3.0))
         assert value == pytest.approx((5.0 + 10.0) / 2.0, abs=1e-12)
         np.testing.assert_allclose(grad, 2.0 * latent / 2.0, atol=1e-12)
 
     def test_point_on_single_centroid_is_flat_zero(self):
         latent = np.array([[0.5, 0.5]])
-        value, grad = ct_loss(latent, latent.copy(), LossConfig())
+        value, grad = ct_loss(latent, latent.copy(), LossConfig("ct", lam=10.0, alpha=3.0))
         assert value == 0.0
         np.testing.assert_allclose(grad, 0.0, atol=0)
 
@@ -191,13 +189,13 @@ class TestCtLoss:
         # the pulls cancel exactly
         latent = np.array([[0.0]])
         centroids = np.array([[-1.0], [1.0]])
-        value, grad = ct_loss(latent, centroids, LossConfig(alpha=3.0))
+        value, grad = ct_loss(latent, centroids, LossConfig("ct", lam=10.0, alpha=3.0))
         assert value == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        config = LossConfig(alpha=3.0)
+        config = LossConfig("ct", lam=10.0, alpha=3.0)
         for _ in range(5):
             latent = rng.standard_normal((4, 3))
             centroids = rng.standard_normal((3, 3))
@@ -209,7 +207,7 @@ class TestCtLoss:
         rng = np.random.default_rng(5)
         latent = rng.standard_normal((6, 3))
         centroids = rng.standard_normal((4, 3))
-        config = LossConfig()
+        config = LossConfig("ct", lam=10.0, alpha=3.0)
         v1, g1 = ct_loss(latent, centroids, config)
         v2, g2 = ct_loss(latent, centroids[::-1].copy(), config)
         assert v1 == pytest.approx(v2, rel=1e-14)
@@ -219,11 +217,11 @@ class TestCtLoss:
 class TestDkmLoss:
     def test_variant_guard(self):
         with pytest.raises(ValueError):
-            dkm_loss(np.zeros((1, 2)), np.zeros((1, 2)), LossConfig(variant="ct"))
+            dkm_loss(np.zeros((1, 2)), np.zeros((1, 2)), LossConfig("ct", lam=10.0, alpha=3.0))
 
     def test_symmetric_midpoint_value(self):
         value, grad_z, _ = dkm_loss(
-            np.array([[0.0]]), np.array([[-1.0], [1.0]]), LossConfig(variant="dkm")
+            np.array([[0.0]]), np.array([[-1.0], [1.0]]), LossConfig("dkm", lam=10.0, alpha=3.0)
         )
         assert value == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(grad_z, 0.0, atol=1e-15)
@@ -231,7 +229,7 @@ class TestDkmLoss:
     def test_single_centroid_closed_form(self):
         latent = np.array([[2.0], [4.0]])
         centroids = np.array([[1.0]])
-        value, grad_z, grad_r = dkm_loss(latent, centroids, LossConfig(variant="dkm"))
+        value, grad_z, grad_r = dkm_loss(latent, centroids, LossConfig("dkm", lam=10.0, alpha=3.0))
         assert value == pytest.approx((1.0 + 9.0) / 2.0, abs=1e-12)
         np.testing.assert_allclose(grad_z, [[1.0], [3.0]], atol=1e-12)
         # centroid pulled toward the batch mean
@@ -239,7 +237,7 @@ class TestDkmLoss:
 
     def test_both_gradients_match_finite_differences(self):
         rng = np.random.default_rng(6)
-        config = LossConfig(variant="dkm", alpha=3.0)
+        config = LossConfig("dkm", lam=10.0, alpha=3.0)
         for _ in range(5):
             latent = rng.standard_normal((4, 2))
             centroids = rng.standard_normal((3, 2))
@@ -308,7 +306,7 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=5, latent=2, hidden=(6,), batch_size=4)
         centroids = rng.standard_normal((3, 2))
         for variant in ("ct", "dkm", "dcn"):
-            config = LossConfig(variant=variant, lam=7.0)
+            config = LossConfig(variant, lam=7.0, alpha=3.0)
             result = combined_objective(batch, params, centroids, config)
             assert result.total == result.reconstruction + 7.0 * result.clustering
 
@@ -317,7 +315,8 @@ class TestCombinedObjective:
         rng = np.random.default_rng(10)
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((2, 2))
-        result = combined_objective(batch, params, centroids, LossConfig(variant, lam=0.0))
+        config = LossConfig(variant, lam=0.0, alpha=3.0)
+        result = combined_objective(batch, params, centroids, config)
         no_term = combined_objective(batch, params, None, None)
         cache = forward(params, batch)
         _, grad_recon = reconstruction_loss(batch, cache.reconstruction)
@@ -330,7 +329,7 @@ class TestCombinedObjective:
         assert (no_term.clustering, no_term.centroid_grads, no_term.assignment) == (0.0, None, None)
 
     @pytest.mark.parametrize("centroids, config", [
-        (np.zeros((2, 2)), None), (None, LossConfig()),
+        (np.zeros((2, 2)), None), (None, LossConfig("ct", lam=10.0, alpha=3.0)),
     ])
     def test_a_term_needs_both_centroids_and_config(self, centroids, config):
         rng = np.random.default_rng(10)
@@ -343,7 +342,7 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, batch_size=3)
         centroids = rng.standard_normal((2, 2))
         result = combined_objective(
-            batch, params, centroids, LossConfig(variant="dkm", lam=0.0)
+            batch, params, centroids, LossConfig("dkm", lam=0.0, alpha=3.0)
         )
         assert result.centroid_grads is not None
         np.testing.assert_allclose(result.centroid_grads, 0.0, atol=0)
@@ -352,8 +351,8 @@ class TestCombinedObjective:
         rng = np.random.default_rng(12)
         params, batch = draw_smooth_net(rng, m=5, latent=3, batch_size=4)
         centroids = rng.standard_normal((3, 3))
-        r1 = combined_objective(batch, params, centroids, LossConfig(lam=10.0))
-        r2 = combined_objective(batch, params, centroids, LossConfig(lam=20.0))
+        r1 = combined_objective(batch, params, centroids, LossConfig("ct", lam=10.0, alpha=3.0))
+        r2 = combined_objective(batch, params, centroids, LossConfig("ct", lam=20.0, alpha=3.0))
         assert r2.total - r2.reconstruction == 2.0 * (r1.total - r1.reconstruction)
 
     def test_dkm_centroid_grads_scale_with_lam(self):
@@ -361,10 +360,10 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, batch_size=5)
         centroids = rng.standard_normal((3, 2))
         g1 = combined_objective(
-            batch, params, centroids, LossConfig(variant="dkm", lam=1.0)
+            batch, params, centroids, LossConfig("dkm", lam=1.0, alpha=3.0)
         ).centroid_grads
         g4 = combined_objective(
-            batch, params, centroids, LossConfig(variant="dkm", lam=4.0)
+            batch, params, centroids, LossConfig("dkm", lam=4.0, alpha=3.0)
         ).centroid_grads
         np.testing.assert_array_equal(g4, 4.0 * g1)
 
@@ -372,7 +371,8 @@ class TestCombinedObjective:
         rng = np.random.default_rng(14)
         params, batch = draw_smooth_net(rng, m=4, latent=2, batch_size=6)
         centroids = rng.standard_normal((3, 2))
-        result = combined_objective(batch, params, centroids, LossConfig(variant="dcn"))
+        config = LossConfig("dcn", lam=10.0, alpha=3.0)
+        result = combined_objective(batch, params, centroids, config)
         latent = forward(params, batch).latent
         assert np.array_equal(result.assignment, assign(latent, centroids))
 
@@ -382,7 +382,7 @@ class TestCombinedObjective:
         params = init_autoencoder(*mirrored_spec(6, 2, (8, 5)), seed=3)
         rows = rng.standard_normal((23, 6))
         centroids = rng.standard_normal((3, 2))
-        config = LossConfig(variant=variant, lam=2.0)
+        config = LossConfig(variant, lam=2.0, alpha=3.0)
         state = make_optimizer("adam", learning_rate=1e-2)
         workspace = Workspace(params, 10)
         for start in range(0, 23, 10):  # 10, 10, then the 3-row remainder
@@ -403,7 +403,7 @@ class TestCombinedObjective:
         rng = np.random.default_rng(15)
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((3, 2))
-        config = LossConfig(variant=variant, lam=2.5)
+        config = LossConfig(variant, lam=2.5, alpha=3.0)
         result = combined_objective(batch, params, centroids, config)
 
         def total():
@@ -422,7 +422,7 @@ class TestCombinedObjective:
         # both centroids off to one side so the decision boundary sits far
         # from every latent point
         centroids = np.array([latent.mean(axis=0) + [50.0, 0.0], latent.mean(axis=0) + [80.0, 0.0]])
-        config = LossConfig(variant="dcn", lam=2.0)
+        config = LossConfig("dcn", lam=2.0, alpha=3.0)
         result = combined_objective(batch, params, centroids, config)
 
         def total():
@@ -473,8 +473,8 @@ class TestOneCoreBits:
                 on = rng.integers(0, b, size=max(1, b // 4))
                 latent[on] = centroids[rng.integers(0, k, size=on.size)]
             alpha = float(rng.uniform(0.5, 5.0))
-            ct = LossConfig(variant="ct", alpha=alpha)
-            dkm = LossConfig(variant="dkm", alpha=alpha / scale**2)
+            ct = LossConfig("ct", lam=10.0, alpha=alpha)
+            dkm = LossConfig("dkm", lam=10.0, alpha=alpha / scale**2)
             got = {
                 "ct": ct_loss(latent, centroids, ct),
                 "dkm": dkm_loss(latent, centroids, dkm),
@@ -490,4 +490,4 @@ class TestOneCoreBits:
 
     def test_shape_mismatch_still_rejected(self):
         with pytest.raises(ValueError, match="not compatible 2-d arrays"):
-            ct_loss(np.zeros((3, 2)), np.zeros((2, 3)), LossConfig())
+            ct_loss(np.zeros((3, 2)), np.zeros((2, 3)), LossConfig("ct", lam=10.0, alpha=3.0))

@@ -79,7 +79,7 @@ class TestInit:
     def test_chain_mismatch_rejected(self):
         with pytest.raises(ValueError):
             init_autoencoder(
-                [LayerSpec(4, 3), LayerSpec(2, 2, "linear")],
+                [LayerSpec(4, 3, "relu"), LayerSpec(2, 2, "linear")],
                 [LayerSpec(2, 4, "linear")],
                 seed=0,
             )
@@ -340,7 +340,7 @@ class TestOptimizer:
 
     def test_bad_optimizer_kind_rejected(self):
         with pytest.raises(ValueError):
-            make_optimizer("rmsprop")
+            make_optimizer("rmsprop", learning_rate=1e-3)
 
 
 class TestGradientExactnessSweep:
@@ -425,7 +425,7 @@ class TestFlatOptimizerBits:
         for _ in range(5):
             grad = rng.standard_normal((10, 4))
             reference_step([ref_centroids], [grad], state, ref)
-            step_array(centroids, grad, state, "centroids")
+            step_array(centroids, grad, state)
         assert np.array_equal(centroids, ref_centroids)
 
     @settings(max_examples=60, deadline=None)
@@ -608,7 +608,7 @@ class TestWorkspace:
         rng = np.random.default_rng(8)
         batch = rng.random((256, 784))
         centroids = None if variant is None else rng.standard_normal((10, 10))
-        config = None if variant is None else LossConfig(variant, lam=1.0)
+        config = None if variant is None else LossConfig(variant, lam=1.0, alpha=3.0)
         state = make_optimizer("adam", learning_rate=5e-4)
         workspace = Workspace(params, 256)
 
@@ -687,10 +687,10 @@ class TestOptimizerInputs:
         assert np.isfinite(params.flat).all()
 
     def test_array_step_checks_its_inputs(self):
-        state = make_optimizer("adam")
+        state = make_optimizer("adam", learning_rate=1e-3)
         with pytest.raises(ValueError, match="shape"):
             step_array(np.zeros((2, 3)), np.zeros((3, 2)), state)
         with pytest.raises(ValueError, match="contiguous"):
             step_array(np.zeros((3, 2)).T, np.zeros((2, 3)), state)
         with pytest.raises(FloatingPointError, match="centroids"):
-            step_array(np.zeros(2), np.array([0.0, np.nan]), state, "centroids")
+            step_array(np.zeros(2), np.array([0.0, np.nan]), state)

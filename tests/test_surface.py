@@ -73,3 +73,40 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
         ["b.py", "1", "lines", "0", "values"],
         ["total", "19", "lines", "5", "values"],
     ]
+
+
+def test_optional_value_names_name_each_value():
+    assert surface.optional_value_names(FIXTURE) == [
+        "Config.a", "Config.b", "public.b", "public.c", "public.d",
+    ]
+
+
+def test_package_optional_values_are_pinned():
+    # Every optional value a caller can set, per module. TrainConfig is the
+    # one home of the training defaults; a new knob is an edit here.
+    package = ROOT / "src" / "deepkm"
+    found = {path.stem: surface.optional_value_names(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert found == {
+        "__init__": [],
+        "__main__": [],
+        "cli": ["emit_report.suite", "main.argv"],
+        "clustering": ["kmeans.max_iters", "kmeans.tol", "kmeans.init_centers"],
+        "data": [
+            "integer_labels.what", "Dataset.labels", "Dataset.name", "load_idx.labels_path",
+            "save_idx.labels_path", "save_idx.height", "save_idx.width", "concat_datasets.name",
+            "load_delimited.delimiter", "load_delimited.label_column",
+            "load_delimited.skip_header", "load_delimited.minmax_scale", "load_delimited.name",
+        ],
+        "harness": [
+            "TrainConfig.method", "TrainConfig.k", "TrainConfig.seed",
+            "TrainConfig.pretrain_epochs", "TrainConfig.finetune_epochs",
+            "TrainConfig.batch_size", "TrainConfig.lam", "TrainConfig.alpha",
+            "TrainConfig.latent_dim", "TrainConfig.hidden_dims", "TrainConfig.optimizer",
+            "TrainConfig.learning_rate", "TrainConfig.kmeans_max_iters", "TrainConfig.kmeans_tol",
+            "run_method.on_batch",
+        ],
+        "losses": ["reconstruction_loss.out", "combined_objective.workspace"],
+        "metrics": [],
+        "nn": ["forward.workspace", "backward.grad_latent"],
+    }

@@ -67,23 +67,31 @@ def _field_is_optional(value: ast.expr) -> bool:
     return "default" in keywords or "default_factory" in keywords
 
 
-def _defaults(args: ast.arguments) -> int:
-    return len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+def _parameters_with_defaults(args: ast.arguments) -> list[str]:
+    positional = args.posonlyargs + args.args
+    return ([a.arg for a in positional[len(positional) - len(args.defaults):]]
+            + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def optional_value_names(source: str) -> list[str]:
+    """Parameters with a default of public module-level functions, as
+    ``function.parameter``, plus dataclass fields with a default, as
+    ``Class.field``, in source order."""
+    names: list[str] = []
+    for node in ast.parse(source).body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            names += [f"{node.name}.{arg}" for arg in _parameters_with_defaults(node.args)]
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            names += [f"{node.name}.{item.target.id}" for item in node.body
+                      if isinstance(item, ast.AnnAssign) and item.value is not None
+                      and _field_is_optional(item.value)]
+    return names
 
 
 def optional_values(source: str) -> int:
-    """Parameters with a default of public module-level functions, plus
-    dataclass fields with a default."""
-    tree = ast.parse(source)
-    count = 0
-    for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not node.name.startswith("_")):
-            count += _defaults(node.args)
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(item, ast.AnnAssign) and item.value is not None
-                         and _field_is_optional(item.value) for item in node.body)
-    return count
+    """How many optional settable values ``optional_value_names`` finds."""
+    return len(optional_value_names(source))
 
 
 def main(argv: list[str]) -> int:
