@@ -245,6 +245,11 @@ def parse_cli(argv: list[str]) -> argparse.Namespace:
         unknown = [m for m in args.methods if m not in METHODS]
         if unknown:
             parser.error(f"unknown method(s) {unknown}; choose from {METHODS}")
+        for name in ("methods", "seeds"):
+            entries = getattr(args, name) or []
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                parser.error(f"argument --{name}: repeated entry {repeated[0]}")
         fields["method"] = args.methods[0]
         if args.seeds:
             fields["seed"] = args.seeds[0]
@@ -309,6 +314,13 @@ def emit_report(reports: RunReport | list[RunReport], out_dir: str | Path | None
     return written
 
 
+def _check_projectable(shape: tuple[int, ...]) -> None:
+    if len(shape) != 2 or shape[0] < 2:
+        raise ValueError("projection needs a 2-d array with at least 2 points")
+    if shape[1] < 2:
+        raise ValueError("projection needs at least 2 feature dimensions")
+
+
 def project_2d(latents: np.ndarray) -> np.ndarray:
     """Top-2 principal-component coordinates of the given points.
 
@@ -317,10 +329,7 @@ def project_2d(latents: np.ndarray) -> np.ndarray:
     positive; ties on magnitude go to the lowest index.
     """
     latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[0] < 2:
-        raise ValueError("projection needs a 2-d array with at least 2 points")
-    if latents.shape[1] < 2:
-        raise ValueError("projection needs at least 2 feature dimensions")
+    _check_projectable(latents.shape)
     centered = latents - latents.mean(axis=0)
     cov = (centered.T @ centered) / (latents.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -407,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return _cmd_eval(args)
         dataset = parse_dataset_spec(args.dataset)
+        if args.command == "project":  # before training, so a run it cannot project writes nothing
+            dims = dataset.m if args.train.method == "km" else args.train.latent_dim
+            _check_projectable((dataset.n, dims))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,14 +1,15 @@
 """Training loops for every compared method, under one seeded protocol.
 
 A private table maps each method to a clustering-term variant and a
-centroid schedule; ``run_method`` looks the method up and runs the one
-shared loop, ``_finetune``. Every minibatch epoch of it, pretraining
-included, is one function, ``_epoch``, whose step is
-``losses.combined_objective``: a pretraining epoch is the step with no
-clustering term.
+centroid schedule. ``run_method`` is the protocol, top to bottom:
+pretrain, fit K-means on the latents, then finetuning epochs, each
+followed by a K-means refit when the method refits, then the labels,
+metrics and report. Every minibatch epoch, pretraining included, is one
+function, ``_epoch``, whose step is ``losses.combined_objective``: a
+pretraining epoch is the step with no clustering term.
 
 * ``km``          — K-means on raw features, no network (the one run
-                    outside the loop).
+                    that skips the network phases).
 * ``aekm``        — reconstruction-only pretraining, then K-means on
                     latents: the loop with zero finetune epochs.
 * ``ours``        — pretrain, then alternate: SGD epochs on
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,6 +82,13 @@ def default_lambda(method: str) -> float:
     return 1.0 if method in ("dkm", "dkm_rein") else 10.0
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or other non-integer is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class TrainConfig:
     method: str = "ours"
@@ -102,6 +110,9 @@ class TrainConfig:
         self.method = self.method.lower()
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        for name in (f.name for f in fields(self) if f.type == "int"):
+            setattr(self, name, _integer(name, getattr(self, name)))
+        self.hidden_dims = tuple(_integer("hidden_dims", h) for h in self.hidden_dims)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 1 or self.batch_size < 1 or self.latent_dim < 1:
@@ -111,7 +122,6 @@ class TrainConfig:
         LossConfig("ct", self.effective_lam, self.alpha)  # its lam and alpha checks, not a copy
         if self.kmeans_max_iters < 1 or not self.kmeans_tol >= 0:
             raise ValueError("bad kmeans settings")
-        self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden widths must be positive, got {self.hidden_dims}")
         make_optimizer(self.optimizer, self.learning_rate)  # its checks, not a copy
@@ -163,23 +173,6 @@ class RunReport:
         }
 
 
-def _seed_streams(config: TrainConfig) -> dict:
-    """Named random streams derived from the run seed.
-
-    Every method draws the streams it needs in the same order, so e.g.
-    ours with lam=0 and zero finetune epochs replays aekm exactly.
-    """
-    root = np.random.SeedSequence(config.seed)
-    init_ss, pre_ss, km0_ss, tune_ss, rein_ss = root.spawn(5)
-    return {
-        "init_seed": int(init_ss.generate_state(1, dtype=np.uint64)[0]),
-        "pretrain_rng": np.random.default_rng(pre_ss),
-        "kmeans0_rng": np.random.default_rng(km0_ss),
-        "finetune_rng": np.random.default_rng(tune_ss),
-        "rein_seeds": rein_ss,
-    }
-
-
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
     """Shuffled fixed-size batches; the short remainder batch is kept."""
     perm = rng.permutation(n)
@@ -187,16 +180,16 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start : start + batch_size]
 
 
-def _pretrained(dataset: Dataset, config: TrainConfig) -> tuple[dict, AutoencoderParams, list[float]]:
-    """The seed streams, then the parameters after reconstruction-only
+def _pretrained(dataset: Dataset, config: TrainConfig, init_ss: np.random.SeedSequence,
+                pretrain_rng: np.random.Generator) -> tuple[AutoencoderParams, list[float]]:
+    """The parameters, drawn from ``init_ss``, after reconstruction-only
     minibatch training for ``pretrain_epochs``, and its per-epoch losses."""
-    streams = _seed_streams(config)
     enc, dec = mirrored_spec(dataset.m, config.latent_dim, config.hidden_dims)
-    params = init_autoencoder(enc, dec, streams["init_seed"])
+    params = init_autoencoder(enc, dec, int(init_ss.generate_state(1, dtype=np.uint64)[0]))
     opt = make_optimizer(config.optimizer, config.learning_rate)
-    losses = [_epoch(dataset, config, params, opt, streams["pretrain_rng"], epoch, None)[0]
+    losses = [_epoch(dataset, config, params, opt, pretrain_rng, epoch, None)[0]
               for epoch in range(config.pretrain_epochs)]
-    return streams, params, losses
+    return params, losses
 
 
 @dataclass
@@ -262,89 +255,6 @@ def _kmeans(points: np.ndarray, config: TrainConfig, rng: np.random.Generator,
     return result
 
 
-def _finish(
-    config: TrainConfig,
-    started: float,
-    dataset: Dataset,
-    latents: np.ndarray,
-    centroids: np.ndarray,
-    pretrain_losses: list[float],
-    recon_losses: list[float],
-    clust_losses: list[float],
-) -> RunReport:
-    """The run's report; each point is labelled by its nearest centroid."""
-    assignment = assign(latents, centroids)
-    metrics = None if dataset.labels is None else evaluate(assignment, dataset.labels)
-    return RunReport(
-        method=config.method,
-        seed=config.seed,
-        config=asdict(config) | {"hidden_dims": list(config.hidden_dims),
-                                 "lam": config.effective_lam},
-        pretrain_losses=pretrain_losses,
-        reconstruction_losses=recon_losses,
-        clustering_losses=clust_losses,
-        assignment=assignment,
-        centroids=centroids,
-        metrics=metrics,
-        wall_clock=time.perf_counter() - started,
-        latents=latents,
-    )
-
-
-def _run_km(dataset: Dataset, config: TrainConfig) -> RunReport:
-    """K-means directly on the raw feature space."""
-    started = time.perf_counter()
-    streams = _seed_streams(config)
-    result = _kmeans(dataset.features, config, streams["kmeans0_rng"], "fit")
-    return _finish(config, started, dataset, dataset.features, result.centers, [], [], [])
-
-
-def _finetune(
-    dataset: Dataset,
-    config: TrainConfig,
-    variant: str | None,
-    reinit: bool,
-    on_batch: BatchHook | None = None,
-) -> RunReport:
-    """The shared loop: pretrain, K-means on the latents, then finetune.
-
-    ``variant`` picks the clustering term (None: no finetuning, as for
-    aekm); ``reinit`` replaces the centroids with a fresh K-means
-    solution on full-data latents at each epoch end.
-    """
-    started = time.perf_counter()
-    streams, params, pre_losses = _pretrained(dataset, config)
-    latents = encode_blocks(params, dataset.features)
-    km0 = _kmeans(latents, config, streams["kmeans0_rng"], "initial fit")
-    if variant is None:
-        return _finish(config, started, dataset, latents, km0.centers, pre_losses, [], [])
-    term = _Term(LossConfig(variant=variant, lam=config.effective_lam, alpha=config.alpha),
-                 km0.centers, make_optimizer(config.optimizer, config.learning_rate),
-                 np.bincount(km0.labels, minlength=config.k).astype(np.float64), on_batch)
-    opt = make_optimizer(config.optimizer, config.learning_rate)
-    epochs = config.finetune_epochs
-    rein_seeds = streams["rein_seeds"].spawn(epochs) if reinit else []
-    recon_losses: list[float] = []
-    clust_losses: list[float] = []
-    for epoch in range(epochs):
-        recon, clust = _epoch(dataset, config, params, opt, streams["finetune_rng"], epoch, term)
-        recon_losses.append(recon)
-        clust_losses.append(clust)
-        if reinit:
-            latents = encode_blocks(params, dataset.features)
-            rng = np.random.default_rng(rein_seeds[epoch])
-            term.centroids = _kmeans(latents, config, rng, f"refit at epoch {epoch}").centers
-            if variant == "dkm":
-                term.centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
-
-    if epochs and not reinit:
-        # Otherwise no step has changed the parameters since the last encode.
-        latents = encode_blocks(params, dataset.features)
-    return _finish(
-        config, started, dataset, latents, term.centroids, pre_losses, recon_losses, clust_losses,
-    )
-
-
 def _dcn_center_update(
     params: AutoencoderParams,
     batch: np.ndarray,
@@ -373,13 +283,72 @@ def _dcn_center_update(
 
 def run_method(dataset: Dataset, config: TrainConfig,
                on_batch: BatchHook | None = None) -> RunReport:
-    """Run ``config.method``. ``on_batch(epoch, batch, centroids)`` is
-    called after every finetuning batch with a copy of the centroids."""
+    """Run ``config.method`` under the shared protocol. km fits K-means on
+    the raw features. Every other method pretrains, fits K-means on the
+    latents, then runs its finetuning epochs: its variant's term moves the
+    centroids within an epoch, and a refitting method replaces them with a
+    fresh K-means fit on the full-data latents after each epoch. Each
+    point is labelled by its nearest centroid. ``on_batch(epoch, batch,
+    centroids)`` is called after every finetuning batch with a copy of
+    the centroids."""
+    if not 1 <= config.k <= dataset.n:
+        raise ValueError(f"need 1 <= k <= n_points, got k={config.k}, n={dataset.n}")
+    started = time.perf_counter()
+    # One stream per phase, spawned in the same order for every method, so
+    # ours with lam=0 and zero finetune epochs replays aekm exactly.
+    init_ss, pretrain_ss, kmeans0_ss, finetune_ss, refit_ss = (
+        np.random.SeedSequence(config.seed).spawn(5))
     spec = _METHOD_TABLE[config.method]
+    pre_losses: list[float] = []
+    recon_losses: list[float] = []
+    clust_losses: list[float] = []
     if spec is None:
-        return _run_km(dataset, config)
-    variant, reinit = spec
-    return _finetune(dataset, config, variant, reinit, on_batch)
+        latents = dataset.features
+        centroids = _kmeans(latents, config, np.random.default_rng(kmeans0_ss), "fit").centers
+    else:
+        params, pre_losses = _pretrained(dataset, config, init_ss,
+                                         np.random.default_rng(pretrain_ss))
+        latents = encode_blocks(params, dataset.features)
+        km0 = _kmeans(latents, config, np.random.default_rng(kmeans0_ss), "initial fit")
+        centroids = km0.centers
+    variant, reinit = spec or (None, False)
+    if variant is not None:
+        term = _Term(LossConfig(variant=variant, lam=config.effective_lam, alpha=config.alpha),
+                     centroids, make_optimizer(config.optimizer, config.learning_rate),
+                     np.bincount(km0.labels, minlength=config.k).astype(np.float64), on_batch)
+        opt = make_optimizer(config.optimizer, config.learning_rate)
+        finetune_rng = np.random.default_rng(finetune_ss)
+        epochs = config.finetune_epochs
+        refit_seeds = refit_ss.spawn(epochs) if reinit else []
+        for epoch in range(epochs):
+            recon, clust = _epoch(dataset, config, params, opt, finetune_rng, epoch, term)
+            recon_losses.append(recon)
+            clust_losses.append(clust)
+            if reinit:
+                latents = encode_blocks(params, dataset.features)
+                rng = np.random.default_rng(refit_seeds[epoch])
+                term.centroids = _kmeans(latents, config, rng, f"refit at epoch {epoch}").centers
+                if variant == "dkm":
+                    term.centroid_opt = make_optimizer(config.optimizer, config.learning_rate)
+        if epochs and not reinit:
+            # Otherwise no step has changed the parameters since the last encode.
+            latents = encode_blocks(params, dataset.features)
+        centroids = term.centroids
+    assignment = assign(latents, centroids)
+    return RunReport(
+        method=config.method,
+        seed=config.seed,
+        config=asdict(config) | {"hidden_dims": list(config.hidden_dims),
+                                 "lam": config.effective_lam},
+        pretrain_losses=pre_losses,
+        reconstruction_losses=recon_losses,
+        clustering_losses=clust_losses,
+        assignment=assignment,
+        centroids=centroids,
+        metrics=None if dataset.labels is None else evaluate(assignment, dataset.labels),
+        wall_clock=time.perf_counter() - started,
+        latents=latents,
+    )
 
 
 @dataclass

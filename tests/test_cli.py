@@ -400,6 +400,23 @@ class TestMainEndToEnd:
         assert lines[0] == "x\ty\tpred\ttruth"
         assert len(lines) == 21
 
+    @pytest.mark.parametrize("dataset, flags, message", [
+        ("blobs:n=20,k=2,dim=4", ["--latent-dim", "1"],
+         "projection needs at least 2 feature dimensions"),
+        ("blobs:n=1,k=1", ["--method", "km", "--k", "1"],
+         "projection needs a 2-d array with at least 2 points"),
+        ("blobs:n=5,k=2,dim=1", ["--method", "km"],
+         "projection needs at least 2 feature dimensions"),
+    ], ids=["latent_dim_1", "km_one_row", "km_one_feature"])
+    def test_project_that_cannot_be_made_fails_before_training(
+        self, tmp_path, capsys, dataset, flags, message,
+    ):
+        out = tmp_path / "out"
+        code = main(["project", "--dataset", dataset, "--out", str(out), *FAST, *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--dataset", "csv:/no/such/table.csv",
                      "--out", str(tmp_path), *FAST])
@@ -410,20 +427,26 @@ class TestMainEndToEnd:
         assert main(["run"]) == 2
         assert main(["run", "--dataset", "blobs:n=5,k=2,dim=2", "--lambda", "-1"]) == 2
 
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_bad_seed_list_is_a_usage_error(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("source, key, value, message", [
+        pytest.param(source, key, value, message, id=case + source)
+        for case, key, value, message in [
+            ("", "seeds", "1,x", "argument --seeds: expected comma-separated integers, got '1,x'"),
+            ("repeated_seed-", "seeds", "1,2,1", "argument --seeds: repeated entry 1"),
+            ("repeated_method-", "methods", "km,aekm,km", "argument --methods: repeated entry km"),
+        ]
+        for source in ("flag", "file")
+    ])
+    def test_bad_seed_list_is_a_usage_error(self, tmp_path, capsys, source, key, value, message):
         ini = tmp_path / "exp.ini"
-        ini.write_text("[suite]\nseeds = 1,x\n" if source == "file" else "")
+        ini.write_text(f"[suite]\n{key} = {value}\n" if source == "file" else "")
         out = tmp_path / "out"
         code = main([
             "suite", "--config", str(ini), "--dataset", "blobs:n=10,k=2,dim=3,seed=0",
-            "--methods", "km", "--out", str(out), *FAST,
-            *(["--seeds", "1,x"] if source == "flag" else []),
+            *(["--methods", "km"] if key == "seeds" else []), "--out", str(out), *FAST,
+            *([f"--{key}", value] if source == "flag" else []),
         ])
         assert code == 2
-        assert "argument --seeds: expected comma-separated integers, got '1,x'" in (
-            capsys.readouterr().err
-        )
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, source", [

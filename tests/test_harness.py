@@ -67,11 +67,33 @@ class TestTrainConfig:
             {"seed": -1},
             {"kmeans_tol": float("nan")},
             {"learning_rate": float("inf")},
+            {"k": 2.5},
+            {"seed": 1.5},
+            {"pretrain_epochs": 1.5},
+            {"k": True},
+            {"batch_size": float("nan")},
+            {"hidden_dims": (4.7,)},
+            {"latent_dim": 2.0},
+            {"finetune_epochs": np.float64(3.0)},
+            {"kmeans_max_iters": float("nan")},
+            {"hidden_dims": (8, False)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("k", True), ("batch_size", float("nan")), ("hidden_dims", (4.7,)),
+    ])
+    def test_non_integer_setting_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        cfg = TrainConfig(k=np.int64(3), seed=np.uint32(2), hidden_dims=(np.int64(4),))
+        assert cfg == TrainConfig(k=3, seed=2, hidden_dims=(4,))
+        assert type(cfg.k) is int and type(cfg.hidden_dims[0]) is int
 
     def test_default_lambda_per_method(self):
         assert default_lambda("dkm") == 1.0
@@ -95,19 +117,25 @@ class TestTrainConfig:
         assert unset["config"]["lam"] == 1.0
 
 
+def pretrained(dataset, config):
+    """``_pretrained`` on the run's first two seed streams, as ``run_method`` spawns them."""
+    init_ss, pretrain_ss = np.random.SeedSequence(config.seed).spawn(2)
+    return harness._pretrained(dataset, config, init_ss, np.random.default_rng(pretrain_ss))
+
+
 class TestPretrain:
     def test_zero_epochs_is_deterministic_init(self, small_blobs):
         cfg = tiny_config(pretrain_epochs=0)
-        _, a, record = harness._pretrained(small_blobs, cfg)
-        _, b, _ = harness._pretrained(small_blobs, cfg)
+        a, record = pretrained(small_blobs, cfg)
+        b, _ = pretrained(small_blobs, cfg)
         assert record == []
         for la, lb in zip(a.encoder + a.decoder, b.encoder + b.decoder):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
 
     def test_training_changes_parameters(self, small_blobs):
-        _, frozen, _ = harness._pretrained(small_blobs, tiny_config(pretrain_epochs=0))
-        _, trained, _ = harness._pretrained(small_blobs, tiny_config(pretrain_epochs=1))
+        frozen, _ = pretrained(small_blobs, tiny_config(pretrain_epochs=0))
+        trained, _ = pretrained(small_blobs, tiny_config(pretrain_epochs=1))
         assert not np.array_equal(frozen.encoder[0].weight, trained.encoder[0].weight)
 
     def test_loss_record_shrinks(self, small_blobs):
@@ -173,6 +201,17 @@ class TestRunReports:
         np.testing.assert_array_equal(
             report.assignment, assign(report.latents, report.centroids)
         )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_k_above_the_row_count_fails_before_any_training(self, small_blobs, monkeypatch,
+                                                              method):
+        calls = []
+        monkeypatch.setattr(harness, "optimizer_step", lambda *a: calls.append("step"))
+        monkeypatch.setattr(harness, "encode_blocks", lambda *a: calls.append("encode"))
+        n = small_blobs.n
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= n_points, got k={n + 1}, n={n}$"):
+            run_method(small_blobs, tiny_config(method=method, k=n + 1))
+        assert calls == []
 
     def test_unconverged_kmeans_warns(self, small_blobs):
         cfg = tiny_config(kmeans_max_iters=1, kmeans_tol=0.0)
