@@ -37,6 +37,7 @@ each other bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -89,6 +90,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a real number: a Python int or float as given, a numpy
+    one as a float; a bool or any other value is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value if type(value) in (int, float) else float(value)
+
+
 @dataclass
 class TrainConfig:
     method: str = "ours"
@@ -113,6 +122,10 @@ class TrainConfig:
         for name in (f.name for f in fields(self) if f.type == "int"):
             setattr(self, name, _integer(name, getattr(self, name)))
         self.hidden_dims = tuple(_integer("hidden_dims", h) for h in self.hidden_dims)
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            setattr(self, name, _real(name, getattr(self, name)))
+        if self.lam is not None:
+            self.lam = _real("lam", self.lam)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.k < 1 or self.batch_size < 1 or self.latent_dim < 1:

@@ -30,16 +30,36 @@ element goes through the same operations in the same order as the
 textbook per-tensor formulas, so the bits do not depend on the layout or
 the block size. ``step_array`` runs the same kernel on the dkm
 centroids.
+
+A second CPU: when the process may run on more CPUs than BLAS has
+threads (by ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else
+every CPU, as OpenBLAS counts them when it loads), one helper thread
+takes half of the large work of a step. In ``backward``, for each layer
+past the first whose weight has at least ``_BLOCK`` elements, it forms
+the weight gradient while the caller forms the input gradient and the
+bias sum. In ``_update``, on more than ``_BLOCK`` values, each thread
+walks one half of the flat vector. Every BLAS call and every ufunc keeps
+its operands, shapes and order, so only the CPU that runs it changes,
+not a bit of the result; and both threads finish before the step
+returns or raises. Small nets and the dkm centroids never reach the
+helper. It is made on first use, and again in a forked child, which
+inherits no threads.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import math
+import os
 from dataclasses import InitVar, dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -51,6 +71,57 @@ _BLOCK = 32768
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+def _blas_threads() -> int:
+    """The BLAS thread count as OpenBLAS reads it when it loads."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return len(os.sched_getaffinity(0))
+
+
+# Read once, at import, as numpy's OpenBLAS read it when numpy loaded.
+_BLAS_THREADS = _blas_threads() if hasattr(os, "sched_getaffinity") else None
+
+
+@functools.cache
+def _helper() -> ThreadPoolExecutor | None:
+    """The one helper thread's executor, or None when BLAS already has a
+    thread for every CPU this process may use. The thread starts with
+    the first job."""
+    if _BLAS_THREADS is None or len(os.sched_getaffinity(0)) <= _BLAS_THREADS:
+        return None
+    # imported here: a process that never needs the helper never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="deepkm-nn")
+
+
+# A forked child has no copy of the helper's thread: it makes its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper.cache_clear)
+
+
+def _start(helper: ThreadPoolExecutor | None, fn, *args, **kwargs) -> Future | None:
+    """``fn(*args, **kwargs)``: run now without a helper, else sent to it
+    under the caller's numpy error state. Pass the result to ``_join``
+    in a ``finally``, so that the job has ended whatever the caller does."""
+    if helper is None:
+        fn(*args, **kwargs)
+        return None
+    return helper.submit(contextvars.copy_context().run, fn, *args, **kwargs)
+
+
+def _join(job: Future | None) -> None:
+    """Wait for a job of ``_start`` to end, raising its exception."""
+    if job is not None:
+        job.result()
+
 
 # Rows per block of encode_blocks. BLAS may round a GEMM row differently
 # with another block height, so this value is part of every run's bits.
@@ -424,11 +495,15 @@ def backward(
             mask = _rows(workspace.mask, b, layer.bias.size)
             np.greater(outputs[i], 0.0, out=mask)
             g = np.multiply(g, mask, out=_rows(here, b, layer.bias.size))
-        np.matmul(inputs[i].T, g, out=grads[2 * i])
-        g.sum(axis=0, out=grads[2 * i + 1])
-        if i == 0:
-            break
-        g = np.matmul(g, layer.weight.T, out=_rows(there, b, layer.weight.shape[0]))
+        helper = _helper() if i > 0 and layer.weight.size >= _BLOCK else None
+        weight_grad = _start(helper, np.matmul, inputs[i].T, g, out=grads[2 * i])
+        try:
+            g.sum(axis=0, out=grads[2 * i + 1])
+            if i == 0:
+                break
+            g = np.matmul(g, layer.weight.T, out=_rows(there, b, layer.weight.shape[0]))
+        finally:
+            _join(weight_grad)
         here, there = there, here
         if i == len(params.encoder) and grad_latent is not None:
             g += grad_latent
@@ -481,6 +556,9 @@ def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
 
     as in-place ufuncs over ``_BLOCK``-element slices, with two scratch
     buffers of that size; so the result does not depend on the block size.
+    With the helper thread, on more than ``_BLOCK`` values, each thread
+    walks one half in slices and scratch of half that size, each slice
+    ending at its half's end.
     """
     adam = state.kind == "adam"
     if adam:
@@ -495,30 +573,46 @@ def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
     t, lr = state.step_count, state.learning_rate
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-    scratch_a, scratch_b = np.empty((2, min(p.size, _BLOCK)))
-    for start in range(0, p.size, _BLOCK):
-        pb, gb = p[start : start + _BLOCK], g[start : start + _BLOCK]
-        a = scratch_a[: pb.size]
-        if not adam:
-            np.multiply(gb, lr, out=a)
+
+    def walk(lo: int, hi: int, size: int) -> None:
+        scratch_a, scratch_b = np.empty((2, min(hi - lo, size)))
+        for start in range(lo, hi, size):
+            stop = min(start + size, hi)
+            pb, gb = p[start:stop], g[start:stop]
+            a = scratch_a[: pb.size]
+            if not adam:
+                np.multiply(gb, lr, out=a)
+                np.subtract(pb, a, out=pb)
+                continue
+            mb, vb = state.m[start:stop], state.v[start:stop]
+            b = scratch_b[: pb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1.0 - b1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, 1.0 - b2, out=a)
+            np.multiply(a, gb, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(mb, c1, out=a)
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.multiply(a, lr, out=a)
+            np.divide(a, b, out=a)
             np.subtract(pb, a, out=pb)
-            continue
-        mb, vb = state.m[start : start + _BLOCK], state.v[start : start + _BLOCK]
-        b = scratch_b[: pb.size]
-        np.multiply(mb, b1, out=mb)
-        np.multiply(gb, 1.0 - b1, out=a)
-        np.add(mb, a, out=mb)
-        np.multiply(vb, b2, out=vb)
-        np.multiply(gb, 1.0 - b2, out=a)
-        np.multiply(a, gb, out=a)
-        np.add(vb, a, out=vb)
-        np.divide(mb, c1, out=a)
-        np.divide(vb, c2, out=b)
-        np.sqrt(b, out=b)
-        np.add(b, eps, out=b)
-        np.multiply(a, lr, out=a)
-        np.divide(a, b, out=a)
-        np.subtract(pb, a, out=pb)
+
+    helper = _helper() if p.size > _BLOCK else None
+    if helper is None:
+        walk(0, p.size, _BLOCK)
+        return
+    # each half's blocks and scratch are half the size, so the two
+    # threads together hold what one did
+    mid, size = p.size // 2, -(-_BLOCK // 2)
+    first_half = _start(helper, walk, 0, mid, size)
+    try:
+        walk(mid, p.size, size)
+    finally:
+        _join(first_half)
 
 
 def optimizer_step(

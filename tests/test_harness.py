@@ -77,6 +77,12 @@ class TestTrainConfig:
             {"finetune_epochs": np.float64(3.0)},
             {"kmeans_max_iters": float("nan")},
             {"hidden_dims": (8, False)},
+            {"lam": True},
+            {"alpha": True},
+            {"learning_rate": True},
+            {"kmeans_tol": False},
+            {"lam": "1"},
+            {"alpha": np.bool_(True)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -89,6 +95,23 @@ class TestTrainConfig:
     def test_non_integer_setting_is_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("lam", True), ("lam", "1"), ("alpha", True), ("learning_rate", True),
+        ("kmeans_tol", False), ("alpha", None),
+    ])
+    def test_non_real_setting_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            TrainConfig(**{name: value})
+
+    def test_numpy_floats_are_accepted_as_floats(self):
+        names = ("lam", "alpha", "learning_rate", "kmeans_tol")
+        values = (0.5, 2.0, 1e-3, 1e-6)
+        cfg = TrainConfig(**{n: np.float32(v) if n == "lam" else np.float64(v)
+                             for n, v in zip(names, values)})
+        assert cfg == TrainConfig(lam=float(np.float32(0.5)), alpha=2.0,
+                                  learning_rate=1e-3, kmeans_tol=1e-6)
+        assert all(type(getattr(cfg, n)) is float for n in names)
 
     def test_numpy_integers_are_accepted_as_ints(self):
         cfg = TrainConfig(k=np.int64(3), seed=np.uint32(2), hidden_dims=(np.int64(4),))

@@ -1,6 +1,15 @@
+import contextlib
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,10 +39,28 @@ from deepkm.losses import LossConfig, combined_objective, reconstruction_loss
 
 from helpers import draw_smooth_net, grads_close, num_grad_inplace
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def tiny_net(seed=7, m=4, latent=2, hidden=(3,)):
     enc, dec = mirrored_spec(m, latent, hidden)
     return init_autoencoder(enc, dec, seed)
+
+
+@pytest.fixture(scope="module")
+def helper_pool():
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
+
+
+@contextlib.contextmanager
+def with_helper(pool):
+    """``nn._helper`` patched to give ``pool`` (None: no helper); yields a
+    mock counting the jobs submitted to it."""
+    submit = mock.Mock(side_effect=None if pool is None else pool.submit)
+    helper = None if pool is None else mock.Mock(submit=submit)
+    with mock.patch.object(nn, "_helper", lambda: helper):
+        yield submit
 
 
 def linear_net(enc_weight, dec_weight):
@@ -430,28 +457,33 @@ class TestFlatOptimizerBits:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 3000),
+        n=st.integers(2, 3000),
         block=st.integers(1, 1024),
         kind=st.sampled_from(["adam", "sgd"]),
         steps=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_block_size_does_not_change_the_bits(self, n, block, kind, steps, seed):
+    def test_block_size_does_not_change_the_bits(self, helper_pool, n, block, kind, steps, seed):
+        # n > block: with the helper, each thread walks one half of the
+        # vector in blocks of half the size, which must stop at its half's end
+        block = min(block, n - 1)
         rng = np.random.default_rng(seed)
         start = rng.standard_normal(n)
         grads = rng.standard_normal((steps, n)) * rng.uniform(1e-3, 1e3)
         results = []
-        for size in (block, n):
+        for size, pool in ((block, None), (block, helper_pool), (n, helper_pool)):
             p = start.copy()
             state = make_optimizer(kind, learning_rate=1e-2)
-            with mock.patch.object(nn, "_BLOCK", size):
+            with mock.patch.object(nn, "_BLOCK", size), with_helper(pool) as submits:
                 for g in grads:
                     nn._update(p, g, state)
+            assert submits.call_count == (steps if pool and n > size else 0)
             results.append((p, state.m, state.v))
-        (p1, m1, v1), (p2, m2, v2) = results
-        assert np.array_equal(p1, p2)
-        if kind == "adam":
-            assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
+        (p1, m1, v1), *others = results
+        for p2, m2, v2 in others:
+            assert np.array_equal(p1, p2)
+            if kind == "adam":
+                assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
 
 
 class TestFlatLayout:
@@ -694,3 +726,232 @@ class TestOptimizerInputs:
             step_array(np.zeros((3, 2)).T, np.zeros((2, 3)), state)
         with pytest.raises(FloatingPointError, match="centroids"):
             step_array(np.zeros(2), np.array([0.0, np.nan]), state)
+
+
+def helper_net(seed=31):
+    # 200-200-300-5 mirrored: encoder 1 and decoder 1 and 2 have at least
+    # _BLOCK weights and an input gradient, so their backward reaches the
+    # helper; the bottleneck layers and encoder 0 do not
+    return init_autoencoder(*mirrored_spec(200, 5, (200, 300)), seed)
+
+
+HELPER_LAYERS = 3
+
+
+def run_subprocess(script, **blas_env):
+    """``script`` in a new interpreter whose only BLAS thread settings are
+    ``blas_env``."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(PYTHONPATH=str(ROOT / "src"), **blas_env)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the helper runs only where a second CPU is free",
+)
+
+
+class TestHelperThread:
+    """The helper thread changes which CPU runs a GEMM or an optimizer half,
+    never a bit, and never outlives the call that gave it the work."""
+
+    def test_layer_sizes(self):
+        net = helper_net()
+        layers = net.encoder + net.decoder
+        assert sum(layer.weight.size >= nn._BLOCK for layer in layers[1:]) == HELPER_LAYERS
+        assert net.flat.size > nn._BLOCK
+
+    def test_backward_gradients_are_the_same_bits(self, helper_pool):
+        params = helper_net()
+        rng = np.random.default_rng(32)
+        batch = rng.standard_normal((64, 200))
+        grad_latent = rng.standard_normal((64, 5))
+        grads = []
+        for pool in (None, helper_pool):
+            cache = forward(params, batch)
+            _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+            with with_helper(pool) as submits:
+                grads.append(backward(params, cache, grad_out, grad_latent).flat)
+            assert submits.call_count == (HELPER_LAYERS if pool else 0)
+        assert np.array_equal(*grads)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_optimizer_steps_are_the_same_bits(self, helper_pool, kind):
+        rng = np.random.default_rng(33)
+        batches = rng.standard_normal((4, 32, 200))
+        results = []
+        for pool in (None, helper_pool):
+            params = helper_net()
+            state = make_optimizer(kind, learning_rate=1e-2)
+            workspace = Workspace(params, 32)
+            with with_helper(pool) as submits:
+                for batch in batches:
+                    cache = forward(params, batch, workspace)
+                    _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+                    optimizer_step(params, backward(params, cache, grad_out), state)
+            assert submits.call_count == (len(batches) * (HELPER_LAYERS + 1) if pool else 0)
+            results.append((params.flat, state.m, state.v))
+        (p1, m1, v1), (p2, m2, v2) = results
+        assert np.array_equal(p1, p2)
+        if kind == "adam":
+            assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
+
+    def test_overflow_raises_on_the_helper_under_the_callers_errstate(self, helper_pool):
+        # g*g overflows only in the first half, the helper's
+        for pool in (None, helper_pool):
+            p, g = np.zeros(4 * nn._BLOCK), np.zeros(4 * nn._BLOCK)
+            g[: nn._BLOCK] = 1e200
+            with with_helper(pool), np.errstate(over="raise"):
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    nn._update(p, g, make_optimizer("adam", learning_rate=1e-3))
+
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_no_gemm_writes_the_workspace_after_backward_raises(self, helper_pool, raiser):
+        # every GEMM on the other thread is slowed, so one that outlived
+        # backward would land in the arena after the snapshot
+        params = helper_net()
+        rng = np.random.default_rng(34)
+        batch = rng.standard_normal((64, 200))
+        cache = forward(params, batch)
+        _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+        matmul = np.matmul
+        finished = []
+
+        def gemm(*args, **kwargs):
+            if (threading.current_thread() is threading.main_thread()) == (raiser == "caller"):
+                raise RuntimeError(raiser)
+            time.sleep(0.05)
+            finished.append(matmul(*args, **kwargs))
+
+        with with_helper(helper_pool), mock.patch.object(np, "matmul", gemm):
+            with pytest.raises(RuntimeError, match=raiser):
+                backward(params, cache, grad_out)
+        assert len(finished) == 1
+        arena = cache.workspace.arena.copy()
+        time.sleep(0.1)
+        assert np.array_equal(cache.workspace.arena, arena)
+
+    def test_no_gemm_writes_the_gradients_after_backward_returns(self, helper_pool):
+        params = helper_net()
+        rng = np.random.default_rng(35)
+        batch = rng.standard_normal((64, 200))
+        cache = forward(params, batch)
+        _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+
+        def slow_submit(fn, *args, **kwargs):
+            return helper_pool.submit(lambda: (time.sleep(0.05), fn(*args, **kwargs))[1])
+
+        with mock.patch.object(nn, "_helper", lambda: mock.Mock(submit=slow_submit)):
+            grads = backward(params, cache, grad_out).flat.copy()
+        time.sleep(0.1)
+        assert np.array_equal(cache.workspace.grads.flat, grads)
+
+    def test_callers_on_more_threads_than_cpus_share_one_helper(self, helper_pool):
+        # four training threads, each on its own net, queue on the one
+        # helper; a job run for the wrong caller or lost would change bits
+        rng = np.random.default_rng(37)
+        batches = rng.standard_normal((3, 32, 200))
+
+        def train(seed, out):
+            params = helper_net(seed)
+            state = make_optimizer("adam", learning_rate=1e-2)
+            for batch in batches:
+                cache = forward(params, batch)
+                _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+                optimizer_step(params, backward(params, cache, grad_out), state)
+            out[seed] = params.flat
+
+        want, got = {}, {}
+        with with_helper(None):
+            for seed in range(4):
+                train(seed, want)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with with_helper(helper_pool):
+                threads = [threading.Thread(target=train, args=(seed, got)) for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == sorted(want)
+        for seed in want:
+            assert np.array_equal(got[seed], want[seed]), seed
+
+    @pytest.mark.parametrize("variant", [None, "ct"])
+    def test_paper_net_step_with_the_helper_allocates_under_one_mib(self, helper_pool, variant):
+        # each thread's two scratch buffers hold half a block, 0.5 MiB in all
+        with with_helper(helper_pool) as submits:
+            peak = TestWorkspace.paper_net_step_peak(variant)
+        assert submits.call_count > 0
+        assert peak < 2**20, peak
+
+    def test_a_desk_net_step_starts_no_thread(self):
+        params = init_autoencoder(*mirrored_spec(50, 5, (64, 32)), seed=0)
+        rng = np.random.default_rng(36)
+        batch = rng.random((256, 50))
+        state = make_optimizer("adam", learning_rate=1e-3)
+        threads = threading.active_count()
+        with ThreadPoolExecutor(1) as pool, with_helper(pool) as submits:
+            out = combined_objective(batch, params, rng.standard_normal((4, 5)),
+                                     LossConfig("ct", lam=1.0, alpha=3.0))
+            optimizer_step(params, out.param_grads, state)
+            assert threading.active_count() == threads
+        assert submits.call_count == 0
+
+    @needs_two_cpus
+    def test_a_forked_child_makes_its_own_helper(self):
+        # an executor copied across fork has no thread: a child that used
+        # it would wait for ever, so the alarm ends it
+        proc = run_subprocess("""
+            import os, signal, sys
+            import numpy as np
+            from deepkm import nn
+            from deepkm.losses import combined_objective
+
+            params = nn.init_autoencoder(*nn.mirrored_spec(784, 10, (500, 500, 2000)), 0)
+            batch = np.random.default_rng(0).random((256, 784))
+            state = nn.make_optimizer("adam", 1e-3)
+
+            def step():
+                out = combined_objective(batch, params, None, None)
+                nn.optimizer_step(params, out.param_grads, state)
+
+            step()
+            parent_helper = nn._helper()
+            assert parent_helper is not None
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                step()
+                os._exit(0 if nn._helper() not in (None, parent_helper) else 3)
+            step()
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("cpus, env, helper", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, False),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {}, False),
+    ])
+    def test_helper_only_where_blas_leaves_a_cpu_free(self, cpus, env, helper):
+        # two concurrent GEMMs at two BLAS threads each were slower than
+        # the same two in turn, so the helper must stay off there
+        proc = run_subprocess(f"""
+            import os
+            os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])
+            from deepkm import nn
+            print(nn._helper() is not None)
+        """, **env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(helper)
