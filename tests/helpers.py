@@ -8,12 +8,56 @@ tests never trust the code under test to judge itself.
 import itertools
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from deepkm.nn import forward, init_autoencoder, mirrored_spec
+
+TESTS = Path(__file__).resolve().parent
+
+# Golden reports: assignments, configs and metric mappings must match
+# exactly; centroids, loss series and ACC/NMI to this relative tolerance.
+# It is fixed: a change that moves a run further changes what the lab computes.
+RTOL = 1e-12
+CLOSE_FIELDS = ("centroids", "pretrain_losses", "reconstruction_losses", "clustering_losses")
+
+
+def strip_wall_clock(report: dict) -> dict:
+    """A report's JSON dict without its one non-deterministic field."""
+    report = dict(report)
+    report.pop("wall_clock")
+    return report
+
+
+def assert_report_matches(got: dict, want: dict, key: str) -> None:
+    """``got`` equals the pinned report ``want`` to ``RTOL``."""
+    assert sorted(got) == sorted(want), key
+    for name in ("method", "seed", "config", "assignment"):
+        assert got[name] == want[name], f"{key}: {name} differs"
+    for name in CLOSE_FIELDS:
+        a, b = np.asarray(got[name], dtype=float), np.asarray(want[name], dtype=float)
+        assert a.shape == b.shape, f"{key}: {name} shape {a.shape} != {b.shape}"
+        np.testing.assert_allclose(a, b, rtol=RTOL, atol=0.0, err_msg=f"{key}: {name}")
+    assert got["metrics"]["mapping"] == want["metrics"]["mapping"], key
+    for name in ("acc", "nmi"):
+        np.testing.assert_allclose(got["metrics"][name], want["metrics"][name],
+                                   rtol=RTOL, atol=0.0, err_msg=f"{key}: {name}")
+
+
+def run_python(script, **blas_env):
+    """``script`` in a new interpreter that imports deepkm from this
+    checkout and these helpers' directory, and whose only BLAS thread
+    settings are ``blas_env``."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(PYTHONPATH=os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)]), **blas_env)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def num_grad(f, x, step=1e-5):
