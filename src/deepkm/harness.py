@@ -53,6 +53,7 @@ from .nn import (
     AutoencoderParams,
     OptimizerState,
     Workspace,
+    _integer,
     encode_blocks,
     init_autoencoder,
     make_optimizer,
@@ -81,13 +82,6 @@ BatchHook = Callable[[int, int, np.ndarray], None]
 def default_lambda(method: str) -> float:
     """Per-method default clustering coefficient."""
     return 1.0 if method in ("dkm", "dkm_rein") else 10.0
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float or other non-integer is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _real(name: str, value) -> float:
@@ -226,30 +220,33 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
     reconstruction alone; with it, a finetuning epoch whose batches also
     move ``term.centroids`` as the variant says: frozen for ct, optimizer
     steps for dkm, running means for dcn. ``opt`` steps the net. Its steps
-    share one workspace, freed on return: before any full-data encode."""
-    workspace = Workspace(params, min(config.batch_size, dataset.n))
+    share one workspace, freed on return: before any full-data encode.
+    Within the epoch a step's update may still be pending (see
+    ``nn.optimizer_step``); the ``with`` block applies it when the epoch
+    ends or fails."""
     recon_sum, clust_sum, batches = 0.0, 0.0, 0
-    for idx in _batches(dataset.n, config.batch_size, rng):
-        batch = dataset.features[idx]
-        centroids, loss_cfg = (None, None) if term is None else (term.centroids, term.config)
-        out = combined_objective(batch, params, centroids, loss_cfg, workspace)
-        if not np.isfinite(out.total):
-            what = "reconstruction loss at pretrain" if term is None else "loss at finetune"
-            raise FloatingPointError(f"non-finite {what} epoch {epoch}, batch {batches}")
-        optimizer_step(params, out.param_grads, opt)
-        recon_sum += out.reconstruction
-        clust_sum += out.clustering
-        batches += 1
-        if term is None:
-            continue
-        if loss_cfg.variant == "dkm":
-            # In place: nothing else holds this refit's centre array.
-            step_array(centroids, out.centroid_grads, term.centroid_opt)
-        elif loss_cfg.variant == "dcn":
-            term.centroids = _dcn_center_update(params, batch, out.assignment, centroids,
-                                                term.counts)
-        if term.on_batch is not None:
-            term.on_batch(epoch, batches - 1, term.centroids.copy())
+    with Workspace(params, min(config.batch_size, dataset.n)) as workspace:
+        for idx in _batches(dataset.n, config.batch_size, rng):
+            batch = dataset.features[idx]
+            centroids, loss_cfg = (None, None) if term is None else (term.centroids, term.config)
+            out = combined_objective(batch, params, centroids, loss_cfg, workspace)
+            if not np.isfinite(out.total):
+                what = "reconstruction loss at pretrain" if term is None else "loss at finetune"
+                raise FloatingPointError(f"non-finite {what} epoch {epoch}, batch {batches}")
+            optimizer_step(params, out.param_grads, opt)
+            recon_sum += out.reconstruction
+            clust_sum += out.clustering
+            batches += 1
+            if term is None:
+                continue
+            if loss_cfg.variant == "dkm":
+                # In place: nothing else holds this refit's centre array.
+                step_array(centroids, out.centroid_grads, term.centroid_opt)
+            elif loss_cfg.variant == "dcn":
+                term.centroids = _dcn_center_update(params, batch, out.assignment, centroids,
+                                                    term.counts)
+            if term.on_batch is not None:
+                term.on_batch(epoch, batches - 1, term.centroids.copy())
     return recon_sum / batches, clust_sum / batches
 
 

@@ -15,35 +15,55 @@ new ``AutoencoderParams`` allocates it zero-filled, and every weight and
 bias is a view of it that cannot be rebound, so values are only ever
 written in place. A training step's store is a ``Workspace``: one
 float64 arena, sized from the net and a batch height, whose views hold
-each layer's output, two ping-pong buffers for backprop, the
-reconstruction residual and the ``Gradients`` vector, laid out like
-``params.flat``; a bool buffer holds the ReLU masks. ``forward`` writes
-into the workspace it is given (a new one sized to the batch if none is)
-and ``backward`` writes into the one its cache names, so a step on a
-reused workspace allocates nothing the size of a layer or of the net,
-and the gradients it returns are overwritten by the next step. So
-``optimizer_step`` checks once that the two layouts agree and updates
-the whole net with one SGD or Adam kernel, ``_update``: in-place ufuncs
-over the two flat vectors, walked in blocks of ``_BLOCK`` elements so
-that the slices and two block-sized scratch buffers stay in cache. Each
-element goes through the same operations in the same order as the
-textbook per-tensor formulas, so the bits do not depend on the layout or
-the block size. ``step_array`` runs the same kernel on the dkm
-centroids.
+each layer's output, the backprop buffers, the reconstruction residual,
+the ``Gradients`` vector, laid out like ``params.flat``, and the
+optimizer's scratch; a bool buffer holds the ReLU masks. ``forward``
+writes into the workspace it is given (a new one sized to the batch if
+none is) and ``backward`` writes into the one its cache names, so a step
+on a reused workspace allocates nothing the size of a layer or of the
+net, and the gradients it returns are overwritten by the next step. So
+``optimizer_step`` checks once that the two layouts agree and that every
+gradient is finite, and updates the whole net with one SGD or Adam
+kernel, ``_Step.block``: in-place ufuncs over one ``_BLOCK``-element
+block of the two flat vectors, so that the slices and two block-sized
+scratch buffers stay in cache. Each element goes through the same
+operations in the same order as the textbook per-tensor formulas, so the
+bits depend neither on the layout nor on the block size, nor on which
+thread applies a block or when. ``step_array`` runs the same kernel on
+the dkm centroids.
 
 A second CPU: when the process may run on more CPUs than BLAS has
 threads (by ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else
 every CPU, as OpenBLAS counts them when it loads), one helper thread
-takes half of the large work of a step. In ``backward``, for each layer
-past the first whose weight has at least ``_BLOCK`` elements, it forms
-the weight gradient while the caller forms the input gradient and the
-bias sum. In ``_update``, on more than ``_BLOCK`` values, each thread
-walks one half of the flat vector. Every BLAS call and every ufunc keeps
-its operands, shapes and order, so only the CPU that runs it changes,
-not a bit of the result; and both threads finish before the step
-returns or raises. Small nets and the dkm centroids never reach the
-helper. It is made on first use, and again in a forked child, which
-inherits no threads.
+shares each step of a net larger than ``_BLOCK`` values with the caller,
+as one schedule:
+
+* ``backward`` sends the weight-gradient GEMM of every layer past the
+  first to the helper while the caller forms the bias sum and the input
+  gradient. Input gradients rotate through three backprop buffers, and
+  the caller waits for a GEMM only before it overwrites the buffer that
+  GEMM reads, two layers later.
+* ``optimizer_step`` checks the gradients, then, for the gradients of a
+  workspace held by a ``with`` block, leaves the update pending in that
+  workspace, with Adam's step count fixed. The next ``forward`` applies
+  it: both threads claim blocks in forward order from one counter, and
+  the caller runs a layer's GEMM once that layer's blocks are done,
+  applying blocks itself while it waits. Leaving the ``with`` block
+  applies what is still pending, on both threads, as an update outside
+  such a block is applied at once.
+
+Every BLAS call and every ufunc keeps its operands, shapes and order, so
+only the thread that runs it, and when, changes: not a bit of any
+result. Both threads have stopped before a call returns or raises, and
+jobs run under the numpy error state of the caller that applies them.
+While an update is pending, ``params.flat`` and its views hold the
+values before it: ``forward``, ``backward``, ``encode``,
+``encode_blocks``, ``AutoencoderParams.copy`` and the next
+``optimizer_step`` apply it before they read them, but code that reads
+the arrays directly inside the ``with`` block sees them stale. Small
+nets and the dkm centroids never reach the helper, nor defer. The
+helper is made on first use, and again in a forked child, which inherits
+no threads.
 """
 
 from __future__ import annotations
@@ -54,7 +74,7 @@ import itertools
 import math
 import os
 from dataclasses import InitVar, dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,15 +137,24 @@ def _start(helper: ThreadPoolExecutor | None, fn, *args, **kwargs) -> Future | N
     return helper.submit(contextvars.copy_context().run, fn, *args, **kwargs)
 
 
-def _join(job: Future | None) -> None:
-    """Wait for a job of ``_start`` to end, raising its exception."""
-    if job is not None:
-        job.result()
+def _join(*jobs: Future | None) -> None:
+    """Wait for every job of ``_start`` to end, then raise the first
+    exception among them."""
+    for error in [job.exception() for job in jobs if job is not None]:
+        if error is not None:
+            raise error
 
 
 # Rows per block of encode_blocks. BLAS may round a GEMM row differently
 # with another block height, so this value is part of every run's bits.
 _ENCODE_ROWS = 4096
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float or other non-integer is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -137,6 +166,8 @@ class LayerSpec:
     activation: str
 
     def __post_init__(self):
+        for name in ("input_dim", "output_dim"):
+            object.__setattr__(self, name, _integer(f"LayerSpec.{name}", getattr(self, name)))
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError(
                 f"layer dims must be >= 1, got {self.input_dim}x{self.output_dim}"
@@ -231,6 +262,8 @@ class AutoencoderParams:
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
     encoder: tuple[Layer, ...] = field(init=False, repr=False)
     decoder: tuple[Layer, ...] = field(init=False, repr=False)
+    # [the _Step deferred onto these values, or None]
+    _pending: list = field(init=False, repr=False)
 
     def __post_init__(self):
         encoder_spec, decoder_spec = tuple(self.encoder_spec), tuple(self.decoder_spec)
@@ -254,7 +287,8 @@ class AutoencoderParams:
         split = len(encoder_spec)
         for name, value in (("encoder_spec", encoder_spec), ("decoder_spec", decoder_spec),
                             ("layout", layout), ("flat", flat), ("arrays", arrays),
-                            ("encoder", layers[:split]), ("decoder", layers[split:])):
+                            ("encoder", layers[:split]), ("decoder", layers[split:]),
+                            ("_pending", [None])):
             object.__setattr__(self, name, value)
 
     @property
@@ -266,7 +300,9 @@ class AutoencoderParams:
         return self.encoder_spec[-1].output_dim
 
     def copy(self) -> "AutoencoderParams":
-        """Independent params: a new net holding a copy of ``flat``."""
+        """Independent params: a new net holding a copy of ``flat``, with
+        any pending update applied first."""
+        _settle(self._pending[0])
         twin = AutoencoderParams(self.encoder_spec, self.decoder_spec)
         twin.flat[...] = self.flat
         return twin
@@ -280,6 +316,8 @@ class Gradients:
     layout: Layout
     flat: np.ndarray = field(repr=False)
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    # the _Slot of the workspace these gradients live in, if any
+    _slot: _Slot | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "arrays", _views(self.flat, self.layout))
@@ -309,11 +347,15 @@ def _run_layers(
     layers: Sequence[Layer],
     x: np.ndarray,
     outputs: Sequence[np.ndarray] | None = None,
+    ready: Callable[[int], None] | None = None,
 ) -> np.ndarray:
     """``x`` through ``layers``: the product, then the bias and the ReLU in
     place. Layer i's output is written into ``outputs[i]`` when given,
-    else into a new array."""
+    else into a new array; ``ready(i)``, when given, is called before
+    layer i reads its weight and bias."""
     for i, layer in enumerate(layers):
+        if ready is not None:
+            ready(i)
         x = np.matmul(x, layer.weight, out=None if outputs is None else outputs[i])
         x += layer.bias
         if layer.activation == "relu":
@@ -331,8 +373,10 @@ def _check_batch(batch: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def encode(params: AutoencoderParams, batch: np.ndarray) -> np.ndarray:
-    """Map a (B, input_dim) batch to its (B, latent_dim) embedding."""
+    """Map a (B, input_dim) batch to its (B, latent_dim) embedding, with
+    any pending update applied first."""
     batch = _check_batch(batch, params.input_dim, "encode")
+    _settle(params._pending[0])
     return _run_layers(params.encoder, batch)
 
 
@@ -355,6 +399,18 @@ def _rows(buffer: np.ndarray, b: int, width: int) -> np.ndarray:
     return buffer[: b * width].reshape(b, width)
 
 
+class _Slot:
+    """What a workspace shares with its ``Gradients`` for the helper's
+    schedule: whether a ``with`` block holds the workspace, the step
+    deferred onto its gradients, and each thread's two scratch blocks of
+    the optimizer kernel (None on a net of one block)."""
+
+    __slots__ = ("in_use", "step", "scratch")
+
+    def __init__(self, scratch: np.ndarray | None):
+        self.in_use, self.step, self.scratch = False, None, scratch
+
+
 @dataclass(frozen=True, eq=False)
 class Workspace:
     """Every buffer of a training step on batches of up to ``rows`` rows
@@ -362,13 +418,20 @@ class Workspace:
 
     ``arena`` is one float64 block; ``outputs`` (each layer's
     (rows, output_dim) output, encoder layers then decoder layers),
-    ``backprop`` (two 1-d ping-pong buffers of rows * the widest layer),
-    ``residual`` ((rows, input_dim), the reconstruction residual and then
-    its gradient) and ``grads`` (laid out like ``params.flat``) are views
-    of it. ``mask`` is a bool buffer of rows * the widest layer for the
-    ReLU masks. A batch of b < rows rows uses the leading b rows of each
-    view. The workspace holds one step at a time: the next ``forward``
-    into it overwrites the last one's outputs and gradients.
+    ``backprop`` (1-d buffers of rows * the widest layer: two, or three
+    on a net larger than ``_BLOCK``, whose weight gradients the helper
+    forms), ``residual`` ((rows, input_dim), the reconstruction residual
+    and then its gradient) and ``grads`` (laid out like ``params.flat``)
+    are views of it, and so, on a net larger than ``_BLOCK``, are the
+    optimizer kernel's scratch blocks. ``mask`` is a bool buffer of
+    rows * the widest layer for the ReLU masks. A batch of b < rows rows
+    uses the leading b rows of each view. The workspace holds one step at
+    a time: the next ``forward`` into it overwrites the last one's
+    outputs and gradients.
+
+    Used as a context manager, the workspace lets ``optimizer_step``
+    defer an update of its gradients to the next ``forward``; leaving
+    the ``with`` block applies what is still pending.
     """
 
     params: InitVar[AutoencoderParams]
@@ -376,10 +439,11 @@ class Workspace:
     layout: Layout = field(init=False, repr=False)
     arena: np.ndarray = field(init=False, repr=False)
     outputs: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    backprop: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    backprop: tuple[np.ndarray, ...] = field(init=False, repr=False)
     residual: np.ndarray = field(init=False, repr=False)
     grads: Gradients = field(init=False, repr=False)
     mask: np.ndarray = field(init=False, repr=False)
+    _slot: _Slot = field(init=False, repr=False)
 
     def __post_init__(self, params: AutoencoderParams):
         rows = int(self.rows)
@@ -387,20 +451,33 @@ class Workspace:
             raise ValueError(f"workspace rows must be >= 0, got {rows}")
         widths = [s.output_dim for s in params.encoder_spec + params.decoder_spec]
         wide = max(widths)
-        sizes = [params.flat.size, *(rows * w for w in widths), rows * wide, rows * wide,
-                 rows * params.input_dim]
+        shared = params.flat.size > _BLOCK
+        buffers = 3 if shared else 2
+        sizes = [params.flat.size, *(rows * w for w in widths), *[rows * wide] * buffers,
+                 rows * params.input_dim, 4 * _BLOCK if shared else 0]
         arena = np.empty(sum(sizes))
         views = [arena[end - size : end]
                  for size, end in zip(sizes, itertools.accumulate(sizes))]
         outputs = tuple(_rows(v, rows, w) for v, w in zip(views[1:], widths))
+        slot = _Slot(views[-1].reshape(2, 2, _BLOCK) if shared else None)
+        grads = Gradients(params.layout, views[0])
+        object.__setattr__(grads, "_slot", slot)
         for name, value in (
             ("rows", rows), ("layout", params.layout), ("arena", arena),
-            ("grads", Gradients(params.layout, views[0])), ("outputs", outputs),
-            ("backprop", tuple(views[-3:-1])),
-            ("residual", _rows(views[-1], rows, params.input_dim)),
-            ("mask", np.empty(rows * wide, dtype=bool)),
+            ("grads", grads), ("outputs", outputs),
+            ("backprop", tuple(views[-2 - buffers : -2])),
+            ("residual", _rows(views[-2], rows, params.input_dim)),
+            ("mask", np.empty(rows * wide, dtype=bool)), ("_slot", slot),
         ):
             object.__setattr__(self, name, value)
+
+    def __enter__(self) -> Workspace:
+        self._slot.in_use = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._slot.in_use = False
+        _settle(self._slot.step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,7 +508,9 @@ def forward(
 
     The outputs are written into ``workspace`` (a new one sized to the
     batch when omitted), overwriting its previous step: a cache from an
-    earlier call on the same workspace is then stale.
+    earlier call on the same workspace is then stale. An update pending
+    on ``params`` is applied on the way, each layer's values before that
+    layer runs.
     """
     batch = _check_batch(batch, params.input_dim, "forward")
     b = batch.shape[0]
@@ -442,7 +521,15 @@ def forward(
     elif b > workspace.rows:
         raise ValueError(f"a workspace of {workspace.rows} rows cannot hold a {b}-row batch")
     outputs = [out[:b] for out in workspace.outputs]
-    _run_layers(params.encoder + params.decoder, batch, outputs)
+    layers = params.encoder + params.decoder
+    step = params._pending[0]
+    if step is None:
+        _run_layers(layers, batch, outputs)
+    else:
+        # layer i reads the flat vector up to the end of its bias
+        ends = list(itertools.accumulate(math.prod(shape) for _, shape in params.layout))[1::2]
+        _apply(step, lambda ready: _run_layers(layers, batch, outputs,
+                                               lambda i: ready(ends[i])))
     split = len(params.encoder)
     return ForwardCache(batch, tuple(outputs[:split]), tuple(outputs[split:]), workspace)
 
@@ -481,32 +568,43 @@ def backward(
             raise ValueError(
                 f"grad_latent shape {grad_latent.shape} does not match latent {cache.latent.shape}"
             )
+    # the weights read here, and the gradients about to be overwritten,
+    # must have no update pending on them
+    _settle(params._pending[0])
+    _settle(workspace._slot.step)
     layers = params.encoder + params.decoder
     outputs = cache.encoder_outputs + cache.decoder_outputs
     inputs = (cache.batch,) + outputs[:-1]
     grads = workspace.grads.arrays
     b = cache.batch.shape[0]
-    # g is the upstream gradient or lies in ``here``; the next is written to ``there``.
-    here, there = workspace.backprop
+    helper = _helper() if params.flat.size > _BLOCK else None
+    # g is the upstream gradient, or lies in buffers[here]; each input
+    # gradient goes to the next buffer in turn, once the weight-gradient
+    # job reading that buffer has ended
+    buffers = workspace.backprop
+    readers: list[Future | None] = [None] * len(buffers)
+    here = 0
     g = grad_reconstruction
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        if layer.activation == "relu":
-            mask = _rows(workspace.mask, b, layer.bias.size)
-            np.greater(outputs[i], 0.0, out=mask)
-            g = np.multiply(g, mask, out=_rows(here, b, layer.bias.size))
-        helper = _helper() if i > 0 and layer.weight.size >= _BLOCK else None
-        weight_grad = _start(helper, np.matmul, inputs[i].T, g, out=grads[2 * i])
-        try:
-            g.sum(axis=0, out=grads[2 * i + 1])
+    try:
+        for i in range(len(layers) - 1, -1, -1):
+            layer = layers[i]
+            if layer.activation == "relu":
+                mask = _rows(workspace.mask, b, layer.bias.size)
+                np.greater(outputs[i], 0.0, out=mask)
+                g = np.multiply(g, mask, out=_rows(buffers[here], b, layer.bias.size))
             if i == 0:
+                np.matmul(inputs[0].T, g, out=grads[0])
+                g.sum(axis=0, out=grads[1])
                 break
-            g = np.matmul(g, layer.weight.T, out=_rows(there, b, layer.weight.shape[0]))
-        finally:
-            _join(weight_grad)
-        here, there = there, here
-        if i == len(params.encoder) and grad_latent is not None:
-            g += grad_latent
+            readers[here] = _start(helper, np.matmul, inputs[i].T, g, out=grads[2 * i])
+            g.sum(axis=0, out=grads[2 * i + 1])
+            here = (here + 1) % len(buffers)
+            _join(readers[here])
+            g = np.matmul(g, layer.weight.T, out=_rows(buffers[here], b, layer.weight.shape[0]))
+            if i == len(params.encoder) and grad_latent is not None:
+                g += grad_latent
+    finally:
+        _join(*readers)
     return workspace.grads
 
 
@@ -544,75 +642,153 @@ def make_optimizer(kind: str, learning_rate: float) -> OptimizerState:
     return OptimizerState(kind=kind, learning_rate=learning_rate)
 
 
-def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
-    """One SGD or Adam step on the 1-d float64 vector ``p``, in place.
+class _Step:
+    """One checked SGD or Adam step of the 1-d float64 vector ``p`` by the
+    gradient ``g``, applied by ``block`` in ``_BLOCK``-element blocks.
 
-    Every element goes through the operations of the per-tensor formulas,
-    in their order:
+    Adam's moments are made or checked, its step count advanced and ``t``,
+    ``c1`` and ``c2`` fixed when the step is made. Every element goes
+    through the operations of the per-tensor formulas, in their order:
 
         SGD:  p -= lr * g
         Adam: m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
               p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
 
-    as in-place ufuncs over ``_BLOCK``-element slices, with two scratch
-    buffers of that size; so the result does not depend on the block size.
-    With the helper thread, on more than ``_BLOCK`` values, each thread
-    walks one half in slices and scratch of half that size, each slice
-    ending at its half's end.
+    as in-place ufuncs over the block's slices with two block-sized
+    scratch buffers, so the result depends neither on the block size nor
+    on the order or thread in which blocks are applied. ``scratch`` is
+    the gradients' workspace's (one pair of buffers per thread), or None.
+    ``params`` and ``slot`` are set while the step is deferred.
     """
-    adam = state.kind == "adam"
-    if adam:
-        if state.m is None:
-            state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-        if state.m.shape != p.shape or state.v.shape != p.shape:
-            raise ValueError(
-                f"optimizer moments of shapes {state.m.shape} and {state.v.shape} "
-                f"do not match the {p.size} values being updated"
-            )
-    state.step_count += 1
-    t, lr = state.step_count, state.learning_rate
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
 
-    def walk(lo: int, hi: int, size: int) -> None:
-        scratch_a, scratch_b = np.empty((2, min(hi - lo, size)))
-        for start in range(lo, hi, size):
-            stop = min(start + size, hi)
-            pb, gb = p[start:stop], g[start:stop]
-            a = scratch_a[: pb.size]
-            if not adam:
-                np.multiply(gb, lr, out=a)
-                np.subtract(pb, a, out=pb)
-                continue
-            mb, vb = state.m[start:stop], state.v[start:stop]
-            b = scratch_b[: pb.size]
-            np.multiply(mb, b1, out=mb)
-            np.multiply(gb, 1.0 - b1, out=a)
-            np.add(mb, a, out=mb)
-            np.multiply(vb, b2, out=vb)
-            np.multiply(gb, 1.0 - b2, out=a)
-            np.multiply(a, gb, out=a)
-            np.add(vb, a, out=vb)
-            np.divide(mb, c1, out=a)
-            np.divide(vb, c2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, eps, out=b)
-            np.multiply(a, lr, out=a)
-            np.divide(a, b, out=a)
+    __slots__ = ("p", "g", "m", "v", "lr", "c1", "c2", "size", "blocks", "scratch",
+                 "params", "slot")
+
+    def __init__(self, p: np.ndarray, g: np.ndarray, state: OptimizerState,
+                 scratch: np.ndarray | None):
+        if state.kind == "adam":
+            if state.m is None:
+                state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+            if state.m.shape != p.shape or state.v.shape != p.shape:
+                raise ValueError(
+                    f"optimizer moments of shapes {state.m.shape} and {state.v.shape} "
+                    f"do not match the {p.size} values being updated"
+                )
+        state.step_count += 1
+        t = state.step_count
+        self.p, self.g, self.m, self.v = p, g, state.m, state.v
+        self.lr, self.c1, self.c2 = state.learning_rate, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+        self.size, self.scratch = _BLOCK, scratch
+        self.blocks = -(-p.size // _BLOCK)
+        self.params = self.slot = None
+
+    def block(self, j: int, scratch: np.ndarray) -> None:
+        """Apply block ``j``, with ``scratch``'s two rows as the buffers."""
+        start, stop = j * self.size, min((j + 1) * self.size, self.p.size)
+        pb, gb = self.p[start:stop], self.g[start:stop]
+        a = scratch[0, : pb.size]
+        if self.m is None:
+            np.multiply(gb, self.lr, out=a)
             np.subtract(pb, a, out=pb)
+            return
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        mb, vb = self.m[start:stop], self.v[start:stop]
+        b = scratch[1, : pb.size]
+        np.multiply(mb, b1, out=mb)
+        np.multiply(gb, 1.0 - b1, out=a)
+        np.add(mb, a, out=mb)
+        np.multiply(vb, b2, out=vb)
+        np.multiply(gb, 1.0 - b2, out=a)
+        np.multiply(a, gb, out=a)
+        np.add(vb, a, out=vb)
+        np.divide(mb, self.c1, out=a)
+        np.divide(vb, self.c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, ADAM_EPS, out=b)
+        np.multiply(a, self.lr, out=a)
+        np.divide(a, b, out=a)
+        np.subtract(pb, a, out=pb)
 
-    helper = _helper() if p.size > _BLOCK else None
+    def defer(self, params: AutoencoderParams, slot: _Slot) -> None:
+        """Leave the step pending on ``params`` and in ``slot``."""
+        self.params, self.slot = params, slot
+        params._pending[0] = slot.step = self
+
+    def detach(self) -> None:
+        """Take the step out of wherever it is pending."""
+        if self.slot is not None:
+            self.params._pending[0] = self.slot.step = None
+            self.params = self.slot = None
+
+
+def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = None) -> None:
+    """Apply every block of ``step``, taken out of wherever it was pending.
+
+    With the helper, on more than one block, both threads claim blocks in
+    order from one counter. ``work(ready)``, when given, is the caller's
+    other work: it calls ``ready(end)`` before it reads the vector's
+    first ``end`` values, and the caller applies blocks until those are
+    done, joining the helper only when it holds the last of them. Both
+    threads have stopped when this returns or raises; after an error
+    the helper claims no more blocks. Without the helper the caller
+    applies every block first, then runs ``work``.
+    """
+    step.detach()
+    helper = _helper() if step.blocks > 1 else None
+    scratch = step.scratch
+    if scratch is None:
+        scratch = np.empty((1 if helper is None else 2, 2, min(step.p.size, step.size)))
     if helper is None:
-        walk(0, p.size, _BLOCK)
+        for j in range(step.blocks):
+            step.block(j, scratch[0])
+        if work is not None:
+            work(lambda end: None)
         return
-    # each half's blocks and scratch are half the size, so the two
-    # threads together hold what one did
-    mid, size = p.size // 2, -(-_BLOCK // 2)
-    first_half = _start(helper, walk, 0, mid, size)
+    claim = itertools.count().__next__
+    done = bytearray(step.blocks)
+    failed = []
+
+    def claims(own: np.ndarray) -> None:
+        while not failed and (j := claim()) < step.blocks:
+            step.block(j, own)
+            done[j] = 1
+
+    frontier = 0
+
+    def ready(end: int) -> None:
+        nonlocal frontier
+        need = -(-end // step.size)
+        while frontier < need:
+            if done[frontier]:
+                frontier += 1
+            elif (j := claim()) < step.blocks:
+                step.block(j, scratch[0])
+                done[j] = 1
+            else:
+                _join(job)  # every block is claimed: the helper holds the rest
+
+    job = _start(helper, claims, scratch[1])
     try:
-        walk(mid, p.size, size)
+        if work is not None:
+            work(ready)
+        ready(step.p.size)
+    except BaseException:
+        failed.append(True)
+        raise
     finally:
-        _join(first_half)
+        if not job.cancel():
+            _join(job)
+
+
+def _settle(step: _Step | None) -> None:
+    """Apply ``step`` now, if there is one."""
+    if step is not None:
+        _apply(step)
+
+
+def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
+    """One SGD or Adam step on the 1-d float64 vector ``p``, in place, now."""
+    _apply(_Step(p, g, state, None))
 
 
 def optimizer_step(
@@ -622,12 +798,20 @@ def optimizer_step(
 ) -> tuple[AutoencoderParams, OptimizerState]:
     """Apply one in-place update. SGD: p -= lr*g; Adam: bias-corrected moments.
 
-    The gradients' layout (a ValueError names the first tensor that differs)
-    and finiteness (block by block into one block-sized mask; a
+    An update still pending on ``params`` or on ``grads`` is applied
+    first. The gradients' layout (a ValueError names the first tensor that
+    differs) and finiteness (block by block into one block-sized mask; a
     FloatingPointError names the first tensor holding a NaN or inf) are
-    checked before any parameter or moment moves; then one ``_update``
-    runs over ``params.flat``.
+    then checked before any parameter or moment moves. The update runs
+    now, unless ``grads`` are those of a workspace held by a ``with``
+    block, the net is larger than ``_BLOCK`` and the helper thread
+    exists: then it is left pending, and the next ``forward`` applies it
+    (any other reader of ``params`` in this module first applies it too).
     """
+    _settle(params._pending[0])
+    slot = grads._slot
+    if slot is not None:
+        _settle(slot.step)
     if grads.layout != params.layout:
         p, g = next(pair for pair in itertools.zip_longest(params.layout, grads.layout)
                     if pair[0] != pair[1])
@@ -641,7 +825,12 @@ def optimizer_step(
         if not np.isfinite(block, out=finite[: block.size]).all():
             name = next(name for name, g in iter_grad_arrays(grads) if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient in {name}")
-    _update(params.flat, grads.flat, state)
+    step = _Step(params.flat, grads.flat, state, None if slot is None else slot.scratch)
+    if (slot is not None and slot.in_use and params.flat.size > _BLOCK
+            and _helper() is not None):
+        step.defer(params, slot)
+    else:
+        _apply(step)
     return params, state
 
 

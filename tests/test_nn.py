@@ -122,6 +122,21 @@ class TestInit:
         with pytest.raises(ValueError):
             LayerSpec(3, 3, "tanh")
 
+    @pytest.mark.parametrize("dims, name", [
+        ((2.5, 3), "input_dim"), ((True, 3), "input_dim"), ((3, np.float64(2.0)), "output_dim"),
+        ((3, np.bool_(True)), "output_dim"), ((3, "4"), "output_dim"), ((None, 4), "input_dim"),
+    ])
+    def test_non_integer_dims_rejected_by_name(self, dims, name):
+        with pytest.raises(ValueError, match=f"LayerSpec.{name} must be an integer"):
+            LayerSpec(*dims, "relu")
+
+    def test_numpy_integer_dims_are_stored_as_ints(self):
+        spec = LayerSpec(np.int64(3), np.uint8(4), "relu")
+        assert (type(spec.input_dim), type(spec.output_dim)) == (int, int)
+        params = AutoencoderParams([spec], [LayerSpec(4, np.int32(3), "linear")])
+        assert all(type(n) is int for _, shape in params.layout for n in shape)
+        assert params.layout == tiny_net(m=3, latent=4, hidden=()).layout
+
     def test_peak_memory_is_one_net_and_one_layer_draw(self):
         enc, dec = mirrored_spec(784, 10, (500, 500, 2000))
         tiny_net()  # the RNG's first use imports modules; that is not init's
@@ -464,8 +479,8 @@ class TestFlatOptimizerBits:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_block_size_does_not_change_the_bits(self, helper_pool, n, block, kind, steps, seed):
-        # n > block: with the helper, each thread walks one half of the
-        # vector in blocks of half the size, which must stop at its half's end
+        # n > block: with the helper, both threads claim the vector's
+        # blocks from one counter, each into its own scratch
         block = min(block, n - 1)
         rng = np.random.default_rng(seed)
         start = rng.standard_normal(n)
@@ -635,7 +650,9 @@ class TestWorkspace:
     def paper_net_step_peak(variant):
         """tracemalloc's peak over one paper-net step at batch 256, after a
         warm-up step: ``combined_objective`` with the ``variant`` term (None:
-        no term) into a workspace, then ``optimizer_step``."""
+        no term) into a workspace held by a ``with`` block, as an epoch
+        holds it, then ``optimizer_step``. With the helper, the step's
+        forward applies the warm-up's deferred update."""
         params = init_autoencoder(*mirrored_spec(784, 10, (500, 500, 2000)), seed=0)
         rng = np.random.default_rng(8)
         batch = rng.random((256, 784))
@@ -648,13 +665,14 @@ class TestWorkspace:
             out = combined_objective(batch, params, centroids, config, workspace)
             optimizer_step(params, out.param_grads, state)
 
-        step()  # warm-up: Adam's moments and first-call imports
-        tracemalloc.start()
-        try:
-            step()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with workspace:
+            step()  # warm-up: Adam's moments and first-call imports
+            tracemalloc.start()
+            try:
+                step()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
     def test_paper_net_step_allocates_under_four_mib(self):
         peak = self.paper_net_step_peak("ct")
@@ -729,13 +747,35 @@ class TestOptimizerInputs:
 
 
 def helper_net(seed=31):
-    # 200-200-300-5 mirrored: encoder 1 and decoder 1 and 2 have at least
-    # _BLOCK weights and an input gradient, so their backward reaches the
-    # helper; the bottleneck layers and encoder 0 do not
+    # 200-200-300-5 mirrored: more than _BLOCK values, so the helper forms
+    # the weight gradient of every layer past encoder 0, and the flat
+    # vector spans several optimizer blocks
     return init_autoencoder(*mirrored_spec(200, 5, (200, 300)), seed)
 
 
-HELPER_LAYERS = 3
+HELPER_LAYERS = 5
+
+
+@contextlib.contextmanager
+def slowed_blocks(slow="caller", raising=None):
+    """``nn._Step.block`` patched: blocks run by ``slow`` ("caller" or
+    "helper") start 50 ms late, and a block run by ``raising`` raises
+    instead. Yields the list of (block, run by the helper) in the order
+    the blocks started."""
+    block = nn._Step.block
+    ran = []
+
+    def patched(step, j, scratch):
+        role = "caller" if threading.current_thread() is threading.main_thread() else "helper"
+        if role == raising:
+            raise RuntimeError(f"block on the {role}")
+        if role == slow:
+            time.sleep(0.05)
+        ran.append((j, role == "helper"))
+        block(step, j, scratch)
+
+    with mock.patch.object(nn._Step, "block", patched):
+        yield ran
 
 
 def run_subprocess(script, **blas_env):
@@ -760,9 +800,8 @@ class TestHelperThread:
 
     def test_layer_sizes(self):
         net = helper_net()
-        layers = net.encoder + net.decoder
-        assert sum(layer.weight.size >= nn._BLOCK for layer in layers[1:]) == HELPER_LAYERS
-        assert net.flat.size > nn._BLOCK
+        assert len(net.encoder + net.decoder) - 1 == HELPER_LAYERS
+        assert net.flat.size > 4 * nn._BLOCK
 
     def test_backward_gradients_are_the_same_bits(self, helper_pool):
         params = helper_net()
@@ -800,13 +839,15 @@ class TestHelperThread:
             assert np.array_equal(m1, m2) and np.array_equal(v1, v2)
 
     def test_overflow_raises_on_the_helper_under_the_callers_errstate(self, helper_pool):
-        # g*g overflows only in the first half, the helper's
+        # g*g overflows only in the last block; the caller's first block is
+        # slowed, so the helper claims the rest
         for pool in (None, helper_pool):
             p, g = np.zeros(4 * nn._BLOCK), np.zeros(4 * nn._BLOCK)
-            g[: nn._BLOCK] = 1e200
-            with with_helper(pool), np.errstate(over="raise"):
-                with pytest.raises(FloatingPointError, match="overflow"):
+            g[-1] = 1e200
+            with with_helper(pool), slowed_blocks() as ran:
+                with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
                     nn._update(p, g, make_optimizer("adam", learning_rate=1e-3))
+            assert (3, pool is not None) in ran
 
     @pytest.mark.parametrize("raiser", ["caller", "helper"])
     def test_no_gemm_writes_the_workspace_after_backward_raises(self, helper_pool, raiser):
@@ -850,18 +891,20 @@ class TestHelperThread:
         assert np.array_equal(cache.workspace.grads.flat, grads)
 
     def test_callers_on_more_threads_than_cpus_share_one_helper(self, helper_pool):
-        # four training threads, each on its own net, queue on the one
-        # helper; a job run for the wrong caller or lost would change bits
+        # four training threads, each on its own net and workspace, queue
+        # on the one helper, with updates deferred; a job run for the wrong
+        # caller or lost would change bits
         rng = np.random.default_rng(37)
         batches = rng.standard_normal((3, 32, 200))
 
         def train(seed, out):
             params = helper_net(seed)
             state = make_optimizer("adam", learning_rate=1e-2)
-            for batch in batches:
-                cache = forward(params, batch)
-                _, grad_out = reconstruction_loss(batch, cache.reconstruction)
-                optimizer_step(params, backward(params, cache, grad_out), state)
+            with Workspace(params, 32) as workspace:
+                for batch in batches:
+                    cache = forward(params, batch, workspace)
+                    _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+                    optimizer_step(params, backward(params, cache, grad_out), state)
             out[seed] = params.flat
 
         want, got = {}, {}
@@ -898,10 +941,15 @@ class TestHelperThread:
         batch = rng.random((256, 50))
         state = make_optimizer("adam", learning_rate=1e-3)
         threads = threading.active_count()
+        before = params.flat.copy()
         with ThreadPoolExecutor(1) as pool, with_helper(pool) as submits:
-            out = combined_objective(batch, params, rng.standard_normal((4, 5)),
-                                     LossConfig("ct", lam=1.0, alpha=3.0))
-            optimizer_step(params, out.param_grads, state)
+            with Workspace(params, 256) as workspace:
+                out = combined_objective(batch, params, rng.standard_normal((4, 5)),
+                                         LossConfig("ct", lam=1.0, alpha=3.0), workspace)
+                optimizer_step(params, out.param_grads, state)
+                assert not np.array_equal(params.flat, before)  # applied, not deferred
+                assert workspace._slot.step is None and params._pending == [None]
+                assert len(workspace.backprop) == 2 and workspace._slot.scratch is None
             assert threading.active_count() == threads
         assert submits.call_count == 0
 
@@ -918,20 +966,23 @@ class TestHelperThread:
             params = nn.init_autoencoder(*nn.mirrored_spec(784, 10, (500, 500, 2000)), 0)
             batch = np.random.default_rng(0).random((256, 784))
             state = nn.make_optimizer("adam", 1e-3)
+            workspace = nn.Workspace(params, 256)
 
             def step():
-                out = combined_objective(batch, params, None, None)
+                out = combined_objective(batch, params, None, None, workspace)
                 nn.optimizer_step(params, out.param_grads, state)
 
-            step()
-            parent_helper = nn._helper()
-            assert parent_helper is not None
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(60)
+            with workspace:
                 step()
-                os._exit(0 if nn._helper() not in (None, parent_helper) else 3)
-            step()
+                parent_helper = nn._helper()
+                assert parent_helper is not None and params._pending[0] is not None
+                pid = os.fork()
+                if pid == 0:
+                    # the child applies the pending update with its own helper
+                    signal.alarm(60)
+                    step()
+                    os._exit(0 if nn._helper() not in (None, parent_helper) else 3)
+                step()
             sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
         """, OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
@@ -955,3 +1006,152 @@ class TestHelperThread:
         """, **env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == str(helper)
+
+
+class TestDeferredUpdate:
+    """Inside a workspace's ``with`` block, with the helper, on a net
+    larger than one block, ``optimizer_step`` leaves its checked update
+    pending; the next ``forward`` applies it, each layer's values before
+    that layer runs, and leaving the block applies the rest."""
+
+    @staticmethod
+    def step(params, batch, workspace, state):
+        cache = forward(params, batch, workspace)
+        _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+        return optimizer_step(params, backward(params, cache, grad_out), state)
+
+    @staticmethod
+    def eager_twin(batches, steps, kind="adam"):
+        """helper_net's params and optimizer after ``steps`` steps, each
+        applied at once."""
+        params, state = helper_net(), make_optimizer(kind, learning_rate=1e-2)
+        with with_helper(None):
+            for batch in batches[:steps]:
+                TestDeferredUpdate.step(params, batch, None, state)
+        return params, state
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_params_are_stale_until_the_next_forward_or_the_end_of_the_block(
+            self, helper_pool, kind):
+        batches = np.random.default_rng(40).standard_normal((3, 32, 200))
+        params, state = helper_net(), make_optimizer(kind, learning_rate=1e-2)
+        with with_helper(helper_pool), Workspace(params, 32) as workspace:
+            for steps, batch in enumerate(batches):
+                before = params.flat.copy()
+                self.step(params, batch, workspace, state)
+                # checked and counted, not yet applied
+                assert np.array_equal(params.flat, before)
+                assert state.step_count == steps + 1
+                assert params._pending[0] is workspace._slot.step is not None
+                if steps < 2:
+                    forward(params, batches[steps + 1], workspace)
+                    want, _ = self.eager_twin(batches, steps + 1, kind)
+                    assert np.array_equal(params.flat, want.flat)
+                    assert params._pending == [None]
+        want, want_state = self.eager_twin(batches, 3, kind)
+        assert np.array_equal(params.flat, want.flat)
+        if kind == "adam":
+            assert np.array_equal(state.m, want_state.m) and np.array_equal(state.v, want_state.v)
+        assert workspace._slot.step is None
+
+    @pytest.mark.parametrize("reader", ["encode", "encode_blocks", "copy", "backward",
+                                        "optimizer_step"])
+    def test_every_reader_sees_the_applied_update(self, helper_pool, reader):
+        rng = np.random.default_rng(42)
+        batch = rng.standard_normal((32, 200))
+        want, want_state = self.eager_twin(batch[None], 1)
+        params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
+        with with_helper(helper_pool), Workspace(params, 32) as workspace:
+            cache = forward(params, batch, workspace)
+            _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+            optimizer_step(params, backward(params, cache, grad_out), state)
+            assert params._pending[0] is not None
+            if reader == "encode":
+                got, expected = encode(params, batch), encode(want, batch)
+            elif reader == "encode_blocks":
+                got, expected = nn.encode_blocks(params, batch), encode(want, batch)
+            elif reader == "copy":
+                got, expected = params.copy().flat, want.flat
+            elif reader == "backward":
+                # a stale cache's backward reads the weights: the applied ones
+                got = backward(params, cache, grad_out).flat.copy()
+                with with_helper(None):
+                    twin = forward(want, batch)
+                    twin_cache = dataclasses.replace(twin, encoder_outputs=cache.encoder_outputs,
+                                                     decoder_outputs=cache.decoder_outputs)
+                    expected = backward(want, twin_cache, grad_out).flat
+            else:
+                # a second step on the same gradients follows the first
+                optimizer_step(params, workspace.grads, state)
+                got = None
+                with with_helper(None):
+                    grads = Gradients(want.layout, workspace.grads.flat.copy())
+                    optimizer_step(want, grads, want_state)
+                expected = None
+            assert params._pending == [None] or reader == "optimizer_step"
+        if got is not None:
+            assert np.array_equal(got, expected)
+        assert np.array_equal(params.flat, want.flat)
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_gradient_written_after_backward_moves_nothing(
+            self, helper_pool, where, bad):
+        rng = np.random.default_rng(43)
+        batches = rng.standard_normal((2, 32, 200))
+        params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
+        with with_helper(helper_pool), Workspace(params, 32) as workspace:
+            self.step(params, batches[0], workspace, state)
+            cache = forward(params, batches[1], workspace)  # applies step 1
+            _, grad_out = reconstruction_loss(batches[1], cache.reconstruction)
+            grads = backward(params, cache, grad_out)
+            grads.flat[0 if where == "first" else -1] = bad
+            name = "encoder[0].weight" if where == "first" else "decoder[2].bias"
+            before = params.flat.copy(), state.m.copy(), state.v.copy()
+            with pytest.raises(FloatingPointError, match=re.escape(f"gradient in {name}")):
+                optimizer_step(params, grads, state)
+            assert params._pending == [None] and workspace._slot.step is None
+            forward(params, batches[1], workspace)
+        assert np.array_equal(params.flat, before[0])
+        assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
+        assert state.step_count == 1
+
+    @pytest.mark.parametrize("raiser", ["caller", "helper"])
+    def test_an_error_in_the_drain_ends_both_threads_first(self, helper_pool, raiser):
+        # blocks on the other thread are slowed, so one that outlived the
+        # error would land after the snapshot
+        rng = np.random.default_rng(44)
+        batches = rng.standard_normal((2, 32, 200))
+        params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
+        other = {"caller": "helper", "helper": "caller"}[raiser]
+        with with_helper(helper_pool), Workspace(params, 32) as workspace:
+            self.step(params, batches[0], workspace, state)
+            with slowed_blocks(slow=other, raising=raiser):
+                with pytest.raises(RuntimeError, match=f"block on the {raiser}"):
+                    forward(params, batches[1], workspace)
+            snapshot = [a.copy() for a in (params.flat, state.m, state.v, workspace.arena)]
+            time.sleep(0.15)
+            for a, b in zip((params.flat, state.m, state.v, workspace.arena), snapshot):
+                assert np.array_equal(a, b)
+            # nothing is left pending for the end of the block to apply
+            assert params._pending == [None] and workspace._slot.step is None
+
+    def test_overflow_follows_the_errstate_of_the_caller_that_applies(self, helper_pool):
+        params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
+        batch = np.random.default_rng(45).standard_normal((32, 200))
+        last = (params.flat.size - 1) // nn._BLOCK
+        with with_helper(helper_pool), Workspace(params, 32) as workspace:
+            for step_state, apply_state in (("ignore", "raise"), ("raise", "ignore")):
+                workspace.grads.flat[...] = 0.0
+                workspace.grads.flat[-1] = 1e200  # g*g overflows in the last block
+                with np.errstate(over=step_state):
+                    optimizer_step(params, workspace.grads, state)
+                assert params._pending[0] is not None
+                # the caller's blocks are slowed: the helper claims the last
+                with np.errstate(over=apply_state), slowed_blocks() as ran:
+                    if apply_state == "raise":
+                        with pytest.raises(FloatingPointError, match="overflow"):
+                            forward(params, batch, workspace)
+                    else:
+                        forward(params, batch, workspace)
+                assert (last, True) in ran
