@@ -744,6 +744,9 @@ def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = N
         if work is not None:
             work(lambda end: None)
         return
+    # The threads share only these: a claim is one call of a C iterator,
+    # and each block's flag and the failure list are written by single
+    # operations, so the interpreter lock orders them without a lock.
     claim = itertools.count().__next__
     done = bytearray(step.blocks)
     failed = []

@@ -680,9 +680,9 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("variant", [None, "ct"])
     def test_paper_net_step_allocates_under_one_mib(self, variant):
-        # Adam's two block-sized scratch buffers take 0.5 MiB; no buffer
-        # the size of the parameters (3.3 MB) may be made, the finiteness
-        # check's included
+        # Adam's scratch blocks live in the workspace; no buffer the size
+        # of the parameters (3.3 MB) may be made, the finiteness check's
+        # included
         peak = self.paper_net_step_peak(variant)
         assert peak < 2**20, peak
 
@@ -760,15 +760,19 @@ HELPER_LAYERS = 5
 def slowed_blocks(slow="caller", raising=None):
     """``nn._Step.block`` patched: blocks run by ``slow`` ("caller" or
     "helper") start 50 ms late, and a block run by ``raising`` raises
-    instead. Yields the list of (block, run by the helper) in the order
-    the blocks started."""
+    instead, once the other thread is inside a block (or after 1 s).
+    Yields the list of (block, run by the helper) in the order the
+    blocks started."""
     block = nn._Step.block
     ran = []
+    entered = threading.Event()
 
     def patched(step, j, scratch):
         role = "caller" if threading.current_thread() is threading.main_thread() else "helper"
         if role == raising:
+            entered.wait(1.0)
             raise RuntimeError(f"block on the {role}")
+        entered.set()
         if role == slow:
             time.sleep(0.05)
         ran.append((j, role == "helper"))
@@ -866,11 +870,14 @@ class TestHelperThread:
                 raise RuntimeError(raiser)
             time.sleep(0.05)
             finished.append(matmul(*args, **kwargs))
+            return finished[-1]
 
         with with_helper(helper_pool), mock.patch.object(np, "matmul", gemm):
             with pytest.raises(RuntimeError, match=raiser):
                 backward(params, cache, grad_out)
-        assert len(finished) == 1
+        # the helper's first GEMM, or the caller's input gradients of the
+        # last two layers, formed before it joins that GEMM
+        assert len(finished) == (1 if raiser == "caller" else 2)
         arena = cache.workspace.arena.copy()
         time.sleep(0.1)
         assert np.array_equal(cache.workspace.arena, arena)
@@ -889,6 +896,25 @@ class TestHelperThread:
             grads = backward(params, cache, grad_out).flat.copy()
         time.sleep(0.1)
         assert np.array_equal(cache.workspace.grads.flat, grads)
+
+    def test_slowed_weight_gradients_read_their_own_buffers(self, helper_pool):
+        # each weight-gradient GEMM starts 50 ms late: an input gradient
+        # written into the buffer it reads before it ran would change bits
+        params = helper_net()
+        rng = np.random.default_rng(38)
+        batch = rng.standard_normal((64, 200))
+        grad_latent = rng.standard_normal((64, 5))
+        cache = forward(params, batch)
+        _, grad_out = reconstruction_loss(batch, cache.reconstruction)
+        with with_helper(None):
+            want = backward(params, cache, grad_out, grad_latent).flat.copy()
+
+        def slow_submit(fn, *args, **kwargs):
+            return helper_pool.submit(lambda: (time.sleep(0.05), fn(*args, **kwargs))[1])
+
+        with mock.patch.object(nn, "_helper", lambda: mock.Mock(submit=slow_submit)):
+            got = backward(params, cache, grad_out, grad_latent).flat
+        assert np.array_equal(got, want)
 
     def test_callers_on_more_threads_than_cpus_share_one_helper(self, helper_pool):
         # four training threads, each on its own net and workspace, queue
@@ -929,7 +955,8 @@ class TestHelperThread:
 
     @pytest.mark.parametrize("variant", [None, "ct"])
     def test_paper_net_step_with_the_helper_allocates_under_one_mib(self, helper_pool, variant):
-        # each thread's two scratch buffers hold half a block, 0.5 MiB in all
+        # the step's forward applies the warm-up's deferred update, each
+        # thread into its own scratch blocks in the workspace
         with with_helper(helper_pool) as submits:
             peak = TestWorkspace.paper_net_step_peak(variant)
         assert submits.call_count > 0
@@ -1058,14 +1085,21 @@ class TestDeferredUpdate:
                                         "optimizer_step"])
     def test_every_reader_sees_the_applied_update(self, helper_pool, reader):
         rng = np.random.default_rng(42)
-        batch = rng.standard_normal((32, 200))
+        batch, other_batch = rng.standard_normal((2, 32, 200))
         want, want_state = self.eager_twin(batch[None], 1)
         params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
-        with with_helper(helper_pool), Workspace(params, 32) as workspace:
+        got = expected = None
+        with with_helper(helper_pool), Workspace(params, 32) as workspace, \
+                Workspace(params, 32) as other:
+            # gradients of another batch on another workspace, made first
+            other_cache = forward(params, other_batch, other)
+            _, other_grad = reconstruction_loss(other_batch, other_cache.reconstruction)
+            other_grads = backward(params, other_cache, other_grad)
             cache = forward(params, batch, workspace)
             _, grad_out = reconstruction_loss(batch, cache.reconstruction)
             optimizer_step(params, backward(params, cache, grad_out), state)
-            assert params._pending[0] is not None
+            first = params._pending[0]
+            assert first is workspace._slot.step is not None
             if reader == "encode":
                 got, expected = encode(params, batch), encode(want, batch)
             elif reader == "encode_blocks":
@@ -1076,19 +1110,20 @@ class TestDeferredUpdate:
                 # a stale cache's backward reads the weights: the applied ones
                 got = backward(params, cache, grad_out).flat.copy()
                 with with_helper(None):
-                    twin = forward(want, batch)
-                    twin_cache = dataclasses.replace(twin, encoder_outputs=cache.encoder_outputs,
-                                                     decoder_outputs=cache.decoder_outputs)
-                    expected = backward(want, twin_cache, grad_out).flat
+                    twin = dataclasses.replace(forward(want, batch),
+                                               encoder_outputs=cache.encoder_outputs,
+                                               decoder_outputs=cache.decoder_outputs)
+                    expected = backward(want, twin, grad_out).flat
             else:
-                # a second step on the same gradients follows the first
-                optimizer_step(params, workspace.grads, state)
-                got = None
+                # a step on the other workspace's gradients applies the
+                # first, pending in this one, then defers in its own
+                optimizer_step(params, other_grads, state)
+                assert params._pending[0] is other._slot.step not in (None, first)
                 with with_helper(None):
-                    grads = Gradients(want.layout, workspace.grads.flat.copy())
-                    optimizer_step(want, grads, want_state)
-                expected = None
-            assert params._pending == [None] or reader == "optimizer_step"
+                    optimizer_step(want, Gradients(want.layout, other_grads.flat.copy()),
+                                   want_state)
+            if reader != "optimizer_step":
+                assert params._pending == [None]
         if got is not None:
             assert np.array_equal(got, expected)
         assert np.array_equal(params.flat, want.flat)
@@ -1126,9 +1161,12 @@ class TestDeferredUpdate:
         other = {"caller": "helper", "helper": "caller"}[raiser]
         with with_helper(helper_pool), Workspace(params, 32) as workspace:
             self.step(params, batches[0], workspace, state)
-            with slowed_blocks(slow=other, raising=raiser):
+            with slowed_blocks(slow=other, raising=raiser) as ran:
                 with pytest.raises(RuntimeError, match=f"block on the {raiser}"):
                     forward(params, batches[1], workspace)
+            if raiser == "caller":
+                # the helper stops claiming once the caller has failed
+                assert len(ran) <= 2
             snapshot = [a.copy() for a in (params.flat, state.m, state.v, workspace.arena)]
             time.sleep(0.15)
             for a, b in zip((params.flat, state.m, state.v, workspace.arena), snapshot):
