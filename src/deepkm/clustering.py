@@ -15,9 +15,12 @@ gives.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn import _integer
 
 _BLOCK_ELEMS = 2**24  # ~128 MiB of float64 scratch per distance block
 _EPS = np.finfo(np.float64).eps
@@ -41,6 +44,14 @@ def _check_points(points: np.ndarray, what: str = "points") -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValueError(f"{what} contains non-finite values")
     return points
+
+
+def _check_k(k, n: int) -> int:
+    """``k`` as an int, an error unless it is an integer in [1, n]."""
+    k = _integer("k", k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n_points, got k={k}, n={n}")
+    return k
 
 
 def differences(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +130,7 @@ def kmeans_plus_plus_init(
     rng = np.random.default_rng(seed)
     points = _check_points(points)
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n_points, got k={k}, n={n}")
+    k = _check_k(k, n)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
     d2 = squared_distances(points, points[chosen[0]][None, :])[:, 0]
@@ -177,10 +187,16 @@ def lloyd_step(
     Returns (new_centers, labels, objective) where the objective is the
     sum of squared distances from each point to the center it was just
     assigned to, i.e. evaluated before the mean update. This makes the
-    sequence of objectives across steps non-increasing.
+    sequence of objectives across steps non-increasing. There may be no
+    more centers than points, so that every cluster can be repaired.
     """
     points = _check_points(points)
     centers = _check_points(centers, "centers")
+    if centers.shape[0] > points.shape[0]:
+        raise ValueError(
+            f"need no more centers than points, got {centers.shape[0]} centers "
+            f"for {points.shape[0]} points"
+        )
     labels, centers, counts = _assign_repaired(points, centers)
     diff = points - centers[labels]
     objective = float(np.einsum("nd,nd->", diff, diff))
@@ -206,9 +222,17 @@ def kmeans(
     Lloyd iterations until the largest center shift drops below ``tol``.
 
     The returned labels and objective are consistent with the returned
-    centers: both are recomputed after the final update.
+    centers: both are recomputed after the final update. ``k`` must be an
+    integer in [1, n_points], ``max_iters`` an integer >= 0 and ``tol`` a
+    real >= 0; each is checked before any work.
     """
     points = _check_points(points)
+    k = _check_k(k, points.shape[0])
+    max_iters = _integer("max_iters", max_iters)
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
     if init_centers is not None:
         centers = _check_points(init_centers, "init_centers").copy()
         if centers.shape != (k, points.shape[1]):

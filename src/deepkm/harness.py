@@ -127,8 +127,10 @@ class TrainConfig:
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ValueError("epoch counts must be non-negative")
         LossConfig("ct", self.effective_lam, self.alpha)  # its lam and alpha checks, not a copy
-        if self.kmeans_max_iters < 1 or not self.kmeans_tol >= 0:
-            raise ValueError("bad kmeans settings")
+        if self.kmeans_max_iters < 1:
+            raise ValueError(f"kmeans_max_iters must be >= 1, got {self.kmeans_max_iters}")
+        if not self.kmeans_tol >= 0:
+            raise ValueError(f"kmeans_tol must be >= 0, got {self.kmeans_tol}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden widths must be positive, got {self.hidden_dims}")
         make_optimizer(self.optimizer, self.learning_rate)  # its checks, not a copy

@@ -15,13 +15,14 @@ new ``AutoencoderParams`` allocates it zero-filled, and every weight and
 bias is a view of it that cannot be rebound, so values are only ever
 written in place. A training step's store is a ``Workspace``: one
 float64 arena, sized from the net and a batch height, whose views hold
-each layer's output, the backprop buffers, the reconstruction residual,
-the ``Gradients`` vector, laid out like ``params.flat``, and the
-optimizer's scratch; a bool buffer holds the ReLU masks. ``forward``
-writes into the workspace it is given (a new one sized to the batch if
-none is) and ``backward`` writes into the one its cache names, so a step
-on a reused workspace allocates nothing the size of a layer or of the
-net, and the gradients it returns are overwritten by the next step. So
+each layer's output, three backprop buffers, the reconstruction
+residual, the ``Gradients`` vector, laid out like ``params.flat``, and
+the optimizer's scratch blocks; a bool buffer holds the ReLU masks and
+the finiteness mask. Every net gets this one layout. ``forward`` writes
+into the workspace it is given (a new one sized to the batch if none
+is) and ``backward`` writes into the one its cache names, so a step on
+a reused workspace allocates nothing the size of a layer or of the net,
+and the gradients it returns are overwritten by the next step. So
 ``optimizer_step`` checks once that the two layouts agree and that every
 gradient is finite, and updates the whole net with one SGD or Adam
 kernel, ``_Step.block``: in-place ufuncs over one ``_BLOCK``-element
@@ -32,25 +33,28 @@ bits depend neither on the layout nor on the block size, nor on which
 thread applies a block or when. ``step_array`` runs the same kernel on
 the dkm centroids.
 
-A second CPU: when the process may run on more CPUs than BLAS has
-threads (by ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else
-every CPU, as OpenBLAS counts them when it loads), one helper thread
-shares each step of a net larger than ``_BLOCK`` values with the caller,
-as one schedule:
+A second CPU: every step runs one schedule, and the helper thread is
+the only thing that differs between nets. When the process may run on
+more CPUs than BLAS has threads (by ``OPENBLAS_NUM_THREADS``, else
+``OMP_NUM_THREADS``, else every CPU, as OpenBLAS counts them when it
+loads), one helper thread shares the work of a net (or vector) larger
+than ``_BLOCK`` values with the caller; otherwise the caller runs the
+helper's jobs itself, at once:
 
 * ``backward`` sends the weight-gradient GEMM of every layer past the
   first to the helper while the caller forms the bias sum and the input
   gradient. Input gradients rotate through three backprop buffers, and
   the caller waits for a GEMM only before it overwrites the buffer that
   GEMM reads, two layers later.
-* ``optimizer_step`` checks the gradients, then, for the gradients of a
-  workspace held by a ``with`` block, leaves the update pending in that
-  workspace, with Adam's step count fixed. The next ``forward`` applies
-  it: both threads claim blocks in forward order from one counter, and
-  the caller runs a layer's GEMM once that layer's blocks are done,
-  applying blocks itself while it waits. Leaving the ``with`` block
-  applies what is still pending, on both threads, as an update outside
-  such a block is applied at once.
+* ``optimizer_step`` checks the gradients, then, with the helper, for
+  the gradients of a workspace held by a ``with`` block, leaves the
+  update pending in that workspace, with Adam's step count fixed. The
+  next ``forward`` applies it: both threads claim blocks in forward
+  order from one counter, and the caller runs a layer's GEMM once that
+  layer's blocks are done, applying blocks itself while it waits.
+  Leaving the ``with`` block applies what is still pending, on both
+  threads, as any other update is applied at once; without the helper,
+  the caller claims every block in order through the same counter.
 
 Every BLAS call and every ufunc keeps its operands, shapes and order, so
 only the thread that runs it, and when, changes: not a bit of any
@@ -61,9 +65,11 @@ values before it: ``forward``, ``backward``, ``encode``,
 ``encode_blocks``, ``AutoencoderParams.copy`` and the next
 ``optimizer_step`` apply it before they read them, but code that reads
 the arrays directly inside the ``with`` block sees them stale. Small
-nets and the dkm centroids never reach the helper, nor defer. The
-helper is made on first use, and again in a forked child, which inherits
-no threads.
+nets and the dkm centroids never reach the helper, nor defer, and a
+step on a reused workspace allocates only a few small Python objects
+(1.7 KiB at ``optimizer_step``'s peak on a 50-64-32-5 net). The helper is
+made on first use, and again in a forked child, which inherits no
+threads.
 """
 
 from __future__ import annotations
@@ -120,6 +126,12 @@ def _helper() -> ThreadPoolExecutor | None:
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(1, thread_name_prefix="deepkm-nn")
+
+
+def _helper_for(size: int) -> ThreadPoolExecutor | None:
+    """The helper, for the work of a net or vector of ``size`` values:
+    only one larger than ``_BLOCK`` shares its work."""
+    return _helper() if size > _BLOCK else None
 
 
 # A forked child has no copy of the helper's thread: it makes its own.
@@ -385,8 +397,6 @@ def encode_blocks(params: AutoencoderParams, features: np.ndarray) -> np.ndarray
     on wide hidden layers."""
     features = _check_batch(features, params.input_dim, "encode")
     block = _ENCODE_ROWS
-    if features.shape[0] <= block:
-        return encode(params, features)
     out = np.empty((features.shape[0], params.latent_dim))
     for start in range(0, features.shape[0], block):
         out[start : start + block] = encode(params, features[start : start + block])
@@ -400,15 +410,15 @@ def _rows(buffer: np.ndarray, b: int, width: int) -> np.ndarray:
 
 
 class _Slot:
-    """What a workspace shares with its ``Gradients`` for the helper's
-    schedule: whether a ``with`` block holds the workspace, the step
-    deferred onto its gradients, and each thread's two scratch blocks of
-    the optimizer kernel (None on a net of one block)."""
+    """What a workspace shares with its ``Gradients`` for the optimizer:
+    whether a ``with`` block holds the workspace, the step deferred onto
+    its gradients, each thread's two scratch blocks of the optimizer
+    kernel, and the bool buffer for the finiteness mask."""
 
-    __slots__ = ("in_use", "step", "scratch")
+    __slots__ = ("in_use", "step", "scratch", "mask")
 
-    def __init__(self, scratch: np.ndarray | None):
-        self.in_use, self.step, self.scratch = False, None, scratch
+    def __init__(self, scratch: np.ndarray, mask: np.ndarray):
+        self.in_use, self.step, self.scratch, self.mask = False, None, scratch, mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,18 +426,20 @@ class Workspace:
     """Every buffer of a training step on batches of up to ``rows`` rows
     through ``params``' architecture.
 
-    ``arena`` is one float64 block; ``outputs`` (each layer's
-    (rows, output_dim) output, encoder layers then decoder layers),
-    ``backprop`` (1-d buffers of rows * the widest layer: two, or three
-    on a net larger than ``_BLOCK``, whose weight gradients the helper
-    forms), ``residual`` ((rows, input_dim), the reconstruction residual
-    and then its gradient) and ``grads`` (laid out like ``params.flat``)
-    are views of it, and so, on a net larger than ``_BLOCK``, are the
-    optimizer kernel's scratch blocks. ``mask`` is a bool buffer of
-    rows * the widest layer for the ReLU masks. A batch of b < rows rows
-    uses the leading b rows of each view. The workspace holds one step at
-    a time: the next ``forward`` into it overwrites the last one's
-    outputs and gradients.
+    Every net gets one layout. ``arena`` is one float64 block;
+    ``outputs`` (each layer's (rows, output_dim) output, encoder layers
+    then decoder layers), ``backprop`` (three 1-d buffers of rows * the
+    widest layer, through which input gradients rotate), ``residual``
+    ((rows, input_dim), the reconstruction residual and then its
+    gradient), ``grads`` (laid out like ``params.flat``) and the
+    optimizer kernel's scratch (two blocks per thread, each of
+    ``min(params.flat.size, _BLOCK)`` values) are views of it. ``mask``
+    is a bool buffer of rows * the widest layer values, and no shorter
+    than one scratch block, for the ReLU masks and ``optimizer_step``'s
+    finiteness mask.
+    A batch of b < rows rows uses the leading b rows of each view. The
+    workspace holds one step at a time: the next ``forward`` into it
+    overwrites the last one's outputs and gradients.
 
     Used as a context manager, the workspace lets ``optimizer_step``
     defer an update of its gradients to the next ``forward``; leaving
@@ -451,23 +463,22 @@ class Workspace:
             raise ValueError(f"workspace rows must be >= 0, got {rows}")
         widths = [s.output_dim for s in params.encoder_spec + params.decoder_spec]
         wide = max(widths)
-        shared = params.flat.size > _BLOCK
-        buffers = 3 if shared else 2
-        sizes = [params.flat.size, *(rows * w for w in widths), *[rows * wide] * buffers,
-                 rows * params.input_dim, 4 * _BLOCK if shared else 0]
+        block = min(params.flat.size, _BLOCK)
+        sizes = [params.flat.size, *(rows * w for w in widths), *[rows * wide] * 3,
+                 rows * params.input_dim, 4 * block]
         arena = np.empty(sum(sizes))
         views = [arena[end - size : end]
                  for size, end in zip(sizes, itertools.accumulate(sizes))]
         outputs = tuple(_rows(v, rows, w) for v, w in zip(views[1:], widths))
-        slot = _Slot(views[-1].reshape(2, 2, _BLOCK) if shared else None)
+        mask = np.empty(max(rows * wide, block), dtype=bool)
+        slot = _Slot(views[-1].reshape(2, 2, block), mask)
         grads = Gradients(params.layout, views[0])
         object.__setattr__(grads, "_slot", slot)
         for name, value in (
             ("rows", rows), ("layout", params.layout), ("arena", arena),
-            ("grads", grads), ("outputs", outputs),
-            ("backprop", tuple(views[-2 - buffers : -2])),
+            ("grads", grads), ("outputs", outputs), ("backprop", tuple(views[-5:-2])),
             ("residual", _rows(views[-2], rows, params.input_dim)),
-            ("mask", np.empty(rows * wide, dtype=bool)), ("_slot", slot),
+            ("mask", mask), ("_slot", slot),
         ):
             object.__setattr__(self, name, value)
 
@@ -577,7 +588,7 @@ def backward(
     inputs = (cache.batch,) + outputs[:-1]
     grads = workspace.grads.arrays
     b = cache.batch.shape[0]
-    helper = _helper() if params.flat.size > _BLOCK else None
+    helper = _helper_for(params.flat.size)
     # g is the upstream gradient, or lies in buffers[here]; each input
     # gradient goes to the next buffer in turn, once the weight-gradient
     # job reading that buffer has ended
@@ -657,7 +668,8 @@ class _Step:
     as in-place ufuncs over the block's slices with two block-sized
     scratch buffers, so the result depends neither on the block size nor
     on the order or thread in which blocks are applied. ``scratch`` is
-    the gradients' workspace's (one pair of buffers per thread), or None.
+    the gradients' workspace's (one pair of buffers per thread), or None
+    for ``_apply`` to make.
     ``params`` and ``slot`` are set while the step is deferred.
     """
 
@@ -724,26 +736,19 @@ class _Step:
 def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = None) -> None:
     """Apply every block of ``step``, taken out of wherever it was pending.
 
-    With the helper, on more than one block, both threads claim blocks in
-    order from one counter. ``work(ready)``, when given, is the caller's
-    other work: it calls ``ready(end)`` before it reads the vector's
-    first ``end`` values, and the caller applies blocks until those are
-    done, joining the helper only when it holds the last of them. Both
-    threads have stopped when this returns or raises; after an error
-    the helper claims no more blocks. Without the helper the caller
-    applies every block first, then runs ``work``.
+    Threads claim blocks in order from one counter: the helper's job, run
+    at once on the caller when there is no helper, claims blocks until
+    none is left. ``work(ready)``, when given, is the caller's other
+    work: it calls ``ready(end)`` before it reads the vector's first
+    ``end`` values, and the caller applies blocks until those are done,
+    joining the helper only when it holds the last of them. Both threads
+    have stopped when this returns or raises; after an error the helper
+    claims no more blocks.
     """
     step.detach()
-    helper = _helper() if step.blocks > 1 else None
     scratch = step.scratch
     if scratch is None:
-        scratch = np.empty((1 if helper is None else 2, 2, min(step.p.size, step.size)))
-    if helper is None:
-        for j in range(step.blocks):
-            step.block(j, scratch[0])
-        if work is not None:
-            work(lambda end: None)
-        return
+        scratch = np.empty((2, 2, min(step.p.size, step.size)))
     # The threads share only these: a claim is one call of a C iterator,
     # and each block's flag and the failure list are written by single
     # operations, so the interpreter lock orders them without a lock.
@@ -770,7 +775,7 @@ def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = N
             else:
                 _join(job)  # every block is claimed: the helper holds the rest
 
-    job = _start(helper, claims, scratch[1])
+    job = _start(_helper_for(step.p.size), claims, scratch[1])
     try:
         if work is not None:
             work(ready)
@@ -779,7 +784,7 @@ def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = N
         failed.append(True)
         raise
     finally:
-        if not job.cancel():
+        if job is not None and not job.cancel():
             _join(job)
 
 
@@ -803,7 +808,8 @@ def optimizer_step(
 
     An update still pending on ``params`` or on ``grads`` is applied
     first. The gradients' layout (a ValueError names the first tensor that
-    differs) and finiteness (block by block into one block-sized mask; a
+    differs) and finiteness (block by block into one block-sized mask, the
+    workspace's bool buffer when ``grads`` are a workspace's; a
     FloatingPointError names the first tensor holding a NaN or inf) are
     then checked before any parameter or moment moves. The update runs
     now, unless ``grads`` are those of a workspace held by a ``with``
@@ -822,15 +828,14 @@ def optimizer_step(
             f"gradients do not match the parameters at {(p or g)[0]}: "
             f"shape {p and p[1]} vs {g and g[1]}"
         )
-    finite = np.empty(min(grads.flat.size, _BLOCK), dtype=bool)
+    finite = np.empty(min(grads.flat.size, _BLOCK), dtype=bool) if slot is None else slot.mask
     for start in range(0, grads.flat.size, _BLOCK):
         block = grads.flat[start : start + _BLOCK]
         if not np.isfinite(block, out=finite[: block.size]).all():
             name = next(name for name, g in iter_grad_arrays(grads) if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient in {name}")
     step = _Step(params.flat, grads.flat, state, None if slot is None else slot.scratch)
-    if (slot is not None and slot.in_use and params.flat.size > _BLOCK
-            and _helper() is not None):
+    if slot is not None and slot.in_use and _helper_for(params.flat.size) is not None:
         step.defer(params, slot)
     else:
         _apply(step)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,10 @@ class TestLloydStep:
         assert set(labels.tolist()) == {0, 1}
         assert np.all(np.isfinite(new_centers))
 
+    def test_more_centers_than_points_rejected(self):
+        with pytest.raises(ValueError, match="no more centers than points, got 4 centers for 3"):
+            lloyd_step(np.arange(6.0).reshape(3, 2), np.zeros((4, 2)))
+
     def test_monotone_objective_across_iterations(self):
         rng = np.random.default_rng(5)
         points = rng.standard_normal((40, 3))
@@ -299,6 +305,23 @@ class TestKMeans:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3, 0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"k": 5, "init_centers": np.zeros((5, 2))}, "need 1 <= k <= n_points, got k=5, n=3"),
+        ({"k": True}, "k must be an integer, got True"),
+        ({"k": 2.0}, "k must be an integer, got 2.0"),
+        ({"max_iters": -3}, "max_iters must be >= 0, got -3"),
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"tol": float("nan")}, "tol must be a real number >= 0, got nan"),
+        ({"tol": -1e-6}, "tol must be a real number >= 0"),
+        ({"tol": True}, "tol must be a real number >= 0, got True"),
+    ], ids=["k_above_n_with_init_centers", "k_bool", "k_float", "max_iters_negative",
+            "max_iters_float", "tol_nan", "tol_negative", "tol_bool"])
+    def test_bad_arguments_rejected_by_name_before_any_work(self, kwargs, message, monkeypatch):
+        monkeypatch.setattr(clustering, "lloyd_step", None)  # any iteration would fail
+        points = np.random.default_rng(3).standard_normal((3, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            kmeans(points, **{"k": 2, "seed": 0, **kwargs})
 
     def test_explicit_init_centers_respected(self):
         points = np.array([[0.0], [1.0], [10.0], [11.0]])

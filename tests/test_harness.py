@@ -104,6 +104,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("kmeans_max_iters", 0), ("kmeans_tol", float("nan")), ("kmeans_tol", -1.0),
+    ])
+    def test_bad_kmeans_setting_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            TrainConfig(**{name: value})
+
     def test_numpy_floats_are_accepted_as_floats(self):
         names = ("lam", "alpha", "learning_rate", "kmeans_tol")
         values = (0.5, 2.0, 1e-3, 1e-6)

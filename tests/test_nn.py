@@ -686,6 +686,26 @@ class TestWorkspace:
         peak = self.paper_net_step_peak(variant)
         assert peak < 2**20, peak
 
+    @pytest.mark.parametrize("dims", [(50, 5, (64, 32)), (16, 10, (32,))])
+    def test_small_net_optimizer_step_allocates_under_four_kib(self, dims):
+        # a net of one block: its scratch and finiteness mask live in the
+        # workspace too, so the step makes no array the size of the net
+        params = init_autoencoder(*mirrored_spec(*dims), seed=0)
+        batch = np.random.default_rng(9).random((64, dims[0]))
+        state = make_optimizer("adam", learning_rate=1e-3)
+        with Workspace(params, 64) as workspace:
+            cache = forward(params, batch, workspace)
+            _, grad_out = reconstruction_loss(batch, cache.reconstruction, workspace.residual)
+            grads = backward(params, cache, grad_out)
+            optimizer_step(params, grads, state)  # warm-up: Adam's moments
+            tracemalloc.start()
+            try:
+                optimizer_step(params, grads, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * 2**10, peak
+
 
 class TestOptimizerInputs:
     def test_moments_of_another_size_rejected_before_any_change(self):
@@ -976,7 +996,11 @@ class TestHelperThread:
                 optimizer_step(params, out.param_grads, state)
                 assert not np.array_equal(params.flat, before)  # applied, not deferred
                 assert workspace._slot.step is None and params._pending == [None]
-                assert len(workspace.backprop) == 2 and workspace._slot.scratch is None
+                # the one layout: three backprop buffers, and two scratch
+                # blocks per thread of the net's size, one block at most
+                assert len(workspace.backprop) == 3
+                assert workspace._slot.scratch.shape == (2, 2, params.flat.size)
+                assert workspace.mask.size >= params.flat.size
             assert threading.active_count() == threads
         assert submits.call_count == 0
 
