@@ -15,12 +15,11 @@ gives.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import _integer
+from .nn import _integer, _real
 
 _BLOCK_ELEMS = 2**24  # ~128 MiB of float64 scratch per distance block
 _EPS = np.finfo(np.float64).eps
@@ -231,8 +230,7 @@ def kmeans(
     max_iters = _integer("max_iters", max_iters)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
-        raise ValueError(f"tol must be a real number >= 0, got {tol!r}")
+    tol = _real("tol", tol, at_least=0)
     if init_centers is not None:
         centers = _check_points(init_centers, "init_centers").copy()
         if centers.shape != (k, points.shape[1]):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import _integer, _real
+
 IDX_IMAGES_MAGIC = 0x00000803  # unsigned byte, rank 3
 IDX_LABELS_MAGIC = 0x00000801  # unsigned byte, rank 1
 
@@ -82,6 +84,7 @@ class Dataset:
 
     def take(self, n: int, name: str | None = None) -> "Dataset":
         """First n samples, preserving order."""
+        n = _integer("n", n)
         if not 1 <= n <= self.n:
             raise ValueError(f"take(n) needs 1 <= n <= {self.n}, got {n}")
         return Dataset(
@@ -324,6 +327,9 @@ def make_blobs(
     """K isotropic Gaussian clusters with centers at pairwise distance
     >= separation (the closest pair sits exactly at it). Points are laid
     out cluster-major; labels are the cluster ids. Deterministic per seed."""
+    n_per_cluster = _integer("n_per_cluster", n_per_cluster)
+    k, dim = _integer("k", k), _integer("dim", dim)
+    separation, noise_sigma = _real("separation", separation), _real("noise_sigma", noise_sigma)
     if n_per_cluster < 1 or k < 1 or dim < 1:
         raise ValueError("n_per_cluster, k and dim must be positive")
     if separation <= 0 or noise_sigma < 0:

@@ -37,7 +37,6 @@ each other bit for bit.
 
 from __future__ import annotations
 
-import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
@@ -54,6 +53,7 @@ from .nn import (
     OptimizerState,
     Workspace,
     _integer,
+    _real,
     encode_blocks,
     init_autoencoder,
     make_optimizer,
@@ -82,14 +82,6 @@ BatchHook = Callable[[int, int, np.ndarray], None]
 def default_lambda(method: str) -> float:
     """Per-method default clustering coefficient."""
     return 1.0 if method in ("dkm", "dkm_rein") else 10.0
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a real number: a Python int or float as given, a numpy
-    one as a float; a bool or any other value is an error."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value if type(value) in (int, float) else float(value)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import assign, differences
-from .nn import AutoencoderParams, Gradients, Workspace, backward, forward
+from .nn import AutoencoderParams, Gradients, Workspace, _real, backward, forward
 
 VARIANTS = ("ct", "dkm", "dcn")
 
@@ -50,6 +50,8 @@ class LossConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown loss variant {self.variant!r}")
+        for name in ("lam", "alpha"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
         if not 0 < self.alpha < math.inf:

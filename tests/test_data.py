@@ -51,6 +51,7 @@ class TestDataset:
         assert head.n == 3
         np.testing.assert_array_equal(head.features, ds.features[:3])
         assert head.labels.tolist() == [0, 1, 2]
+        assert ds.take(np.int64(3)).name == head.name
 
     def test_take_bounds(self):
         ds = Dataset(np.zeros((2, 2)))
@@ -58,6 +59,12 @@ class TestDataset:
             ds.take(0)
         with pytest.raises(ValueError):
             ds.take(3)
+
+    @pytest.mark.parametrize("n", [True, 2.5, np.float64(1.0), "1", None])
+    def test_take_rejects_a_non_integer_count_by_name(self, n):
+        ds = Dataset(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^n must be an integer, got "):
+            ds.take(n)
 
     def test_rejects_nonfinite_features(self):
         with pytest.raises(ValueError):
@@ -493,6 +500,10 @@ class TestMakeBlobs:
         a = make_blobs(5, 2, 3, 4.0, 0.5, seed=42)
         b = make_blobs(5, 2, 3, 4.0, 0.5, seed=42)
         np.testing.assert_array_equal(a.features, b.features)
+        c = make_blobs(np.int64(5), np.int32(2), np.uint8(3), np.float64(4.0), 0.5, seed=42)
+        assert c.name == a.name
+        np.testing.assert_array_equal(c.features, a.features)
+        np.testing.assert_array_equal(c.labels, a.labels)
 
     def test_zero_noise_collapses_clusters_onto_centers(self):
         ds = make_blobs(4, 3, 2, separation=3.0, noise_sigma=0.0, seed=1)
@@ -523,3 +534,16 @@ class TestMakeBlobs:
             make_blobs(1, 2, 2, -1.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             make_blobs(1, 2, 2, 1.0, -0.1, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2.5, 2, 3, 4.0, 1.0), "n_per_cluster must be an integer, got 2.5"),
+        ((True, 2, 3, 4.0, 1.0), "n_per_cluster must be an integer, got True"),
+        ((5, 2.0, 3, 4.0, 1.0), "k must be an integer, got 2.0"),
+        ((5, 2, np.bool_(True), 4.0, 1.0), "dim must be an integer, got "),
+        ((5, 2, 3, True, 1.0), "separation must be a real number, got True"),
+        ((5, 2, 3, "4", 1.0), "separation must be a real number, got '4'"),
+        ((5, 2, 3, 4.0, None), "noise_sigma must be a real number, got None"),
+    ])
+    def test_bad_argument_rejected_by_name(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make_blobs(*args, seed=0)

@@ -44,6 +44,10 @@ class TestLossConfig:
             {"lam": float("inf")},
             {"alpha": float("nan")},
             {"alpha": float("inf")},
+            {"lam": True},
+            {"lam": "1"},
+            {"alpha": np.bool_(True)},
+            {"alpha": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -63,6 +63,12 @@ def with_helper(pool):
         yield submit
 
 
+def decode(params, latent):
+    """The decoder stack on ``latent``, into a fresh output per layer."""
+    outputs = [np.empty((latent.shape[0], layer.bias.size)) for layer in params.decoder]
+    return nn._run_layers(params.decoder, latent, outputs)
+
+
 def linear_net(enc_weight, dec_weight):
     """A fresh one-layer-per-side linear net, its weights written in."""
     m = len(enc_weight)
@@ -157,14 +163,14 @@ class TestEncodeDecode:
             layer.weight[:] = 0.0
         batch = np.random.default_rng(1).standard_normal((3, 4))
         assert np.all(encode(params, batch) == 0.0)
-        assert np.all(nn._run_layers(params.decoder, np.ones((3, 2))) == 0.0)
+        assert np.all(decode(params, np.ones((3, 2))) == 0.0)
 
     def test_identity_linear_layer(self):
         m = 3
         params = linear_net(np.eye(m), np.eye(m))
         batch = np.random.default_rng(2).standard_normal((4, m))
         np.testing.assert_array_equal(encode(params, batch), batch)
-        np.testing.assert_array_equal(nn._run_layers(params.decoder, batch), batch)
+        np.testing.assert_array_equal(decode(params, batch), batch)
         np.testing.assert_array_equal(forward(params, batch).reconstruction, batch)
 
     def test_batch_equals_per_row_loop(self):
@@ -175,9 +181,9 @@ class TestEncodeDecode:
             row = encode(params, batch[i : i + 1])[0]
             np.testing.assert_allclose(whole[i], row, rtol=0, atol=1e-12)
         latent = np.random.default_rng(4).standard_normal((3, 3))
-        whole = nn._run_layers(params.decoder, latent)
+        whole = decode(params, latent)
         for i in range(3):
-            row = nn._run_layers(params.decoder, latent[i : i + 1])[0]
+            row = decode(params, latent[i : i + 1])[0]
             np.testing.assert_allclose(whole[i], row, rtol=0, atol=1e-12)
 
     def test_purity_repeat_bitwise(self):
@@ -222,6 +228,36 @@ class TestInPlaceForwardBits:
                              for i in range(0, rows.shape[0], 128)])
         monkeypatch.setattr(nn, "_ENCODE_ROWS", 128)
         np.testing.assert_array_equal(nn.encode_blocks(params, rows), blocked)
+
+    @pytest.mark.parametrize("how", ["encode", "encode_blocks"])
+    def test_encode_gemms_write_into_one_scratch_and_the_result(self, how, monkeypatch):
+        # the hidden layers take turns in two buffers of one scratch array,
+        # the last layer writes into the result: no GEMM makes its product
+        params = init_autoencoder(*mirrored_spec(20, 3, (16, 12, 24)), seed=5)
+        rows = np.random.default_rng(6).random((70, 20))
+        want, _ = reference_layers(params.encoder, rows)
+        if how == "encode_blocks":
+            monkeypatch.setattr(nn, "_ENCODE_ROWS", 32)  # blocks of 32, 32 and 6 rows
+            want = np.vstack([reference_layers(params.encoder, rows[i : i + 32])[0]
+                              for i in range(0, 70, 32)])
+        outs = []
+        matmul = np.matmul
+
+        def recording(*args, **kwargs):
+            outs.append(kwargs.get("out"))
+            return matmul(*args, **kwargs)
+
+        with mock.patch.object(np, "matmul", recording):
+            got = getattr(nn, how)(params, rows)
+        np.testing.assert_array_equal(got, want)
+        blocks = 3 if how == "encode_blocks" else 1
+        assert len(outs) == 4 * blocks
+        assert all(out is not None for out in outs), outs
+        hidden = [out for i, out in enumerate(outs) if i % 4 != 3]
+        assert all(out.base is hidden[0].base for out in hidden)
+        assert not np.shares_memory(hidden[0], hidden[1])
+        assert np.shares_memory(hidden[0], hidden[2])
+        assert all(np.shares_memory(out, got) for out in outs[3::4])
 
     def test_forward_keeps_layer_outputs_for_backward(self, paper_net):
         params, rows = paper_net
@@ -383,6 +419,15 @@ class TestOptimizer:
     def test_bad_optimizer_kind_rejected(self):
         with pytest.raises(ValueError):
             make_optimizer("rmsprop", learning_rate=1e-3)
+
+    @pytest.mark.parametrize("rate", [True, "1", None])
+    def test_bad_learning_rate_rejected_by_name(self, rate):
+        with pytest.raises(ValueError, match="^learning_rate must be "):
+            make_optimizer("adam", learning_rate=rate)
+
+    def test_numpy_learning_rate_is_stored_as_a_float(self):
+        assert type(make_optimizer("adam", np.float32(0.5)).learning_rate) is float
+        assert make_optimizer("sgd", 1).learning_rate == 1
 
 
 class TestGradientExactnessSweep:
@@ -610,6 +655,11 @@ class TestWorkspace:
         assert first is second is workspace.grads
         assert np.shares_memory(first.flat, workspace.arena)
         assert not np.array_equal(second.flat, kept)
+
+    @pytest.mark.parametrize("rows", [2.7, True, np.float64(3.0), "4", None])
+    def test_non_integer_rows_rejected_by_name(self, rows):
+        with pytest.raises(ValueError, match="^rows must be an integer, got "):
+            Workspace(tiny_net(), rows)
 
     def test_workspace_of_another_net_or_too_few_rows_rejected(self):
         params = tiny_net(seed=4)

@@ -73,16 +73,20 @@ def test_the_runs_take_the_paths_of_paper_sized_nets():
     assert ROWS > nn._ENCODE_ROWS
 
 
-def test_full_data_encodes_run_in_blocks_of_4096_rows():
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, ROWS])
+def test_full_data_encodes_run_in_blocks_of_4096_rows(n):
     # BLAS rounds some rows of the 48-700 and 700-10 products differently
     # at another block height, so the height is part of every run's bits;
     # the reports' tolerance cannot see a latent's last bit
     params = nn.init_autoencoder(*nn.mirrored_spec(DIM, TRAIN["latent_dim"],
                                                    TRAIN["hidden_dims"]), 0)
-    rows = paper_rows().features
-    want = np.vstack([nn.encode(params, rows[start : start + 4096])
-                      for start in range(0, ROWS, 4096)])
-    assert np.array_equal(nn.encode_blocks(params, rows), want)
+    rows = paper_rows().features[:n]
+    want = np.empty((n, TRAIN["latent_dim"]))
+    for start in range(0, n, 4096):
+        want[start : start + 4096] = nn.encode(params, rows[start : start + 4096])
+    got = nn.encode_blocks(params, rows)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 def test_reports_match_golden(reports):
