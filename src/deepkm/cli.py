@@ -424,7 +424,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.command == "suite":
-        result = run_suite(dataset, args.train, args.seeds, args.methods)
+        try:
+            result = run_suite(dataset, args.train, args.seeds, args.methods)
+        except ValueError as exc:  # its checks before any run, unlabelled data among them
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         paths = emit_report(result.reports, args.out, suite=result)
         for report in result.reports:
             _print_run_line(report)

@@ -186,17 +186,22 @@ def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
 
 
 def concat_datasets(parts: list[Dataset], name: str = "concat") -> Dataset:
-    """Stack datasets row-wise (e.g. a train file plus a test file)."""
+    """Stack datasets row-wise (e.g. a train file plus a test file). The
+    result has labels when every part has them, and none when no part
+    has; a mix is an error naming the first unlabelled part."""
     if not parts:
         raise ValueError("nothing to concatenate")
     m = parts[0].m
     for p in parts[1:]:
         if p.m != m:
             raise ValueError(f"feature dims differ: {m} vs {p.m}")
-    has_labels = all(p.labels is not None for p in parts)
+    unlabelled = [i for i, p in enumerate(parts) if p.labels is None]
+    if unlabelled and len(unlabelled) < len(parts):
+        i = unlabelled[0]
+        raise ValueError(f"part {i} ({parts[i].name!r}) has no labels, but other parts do")
     return Dataset(
         features=np.concatenate([p.features for p in parts], axis=0),
-        labels=np.concatenate([p.labels for p in parts]) if has_labels else None,
+        labels=None if unlabelled else np.concatenate([p.labels for p in parts]),
         name=name,
     )
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -102,12 +102,15 @@ class TrainConfig:
     kmeans_tol: float = 1e-6
 
     def __post_init__(self):
-        self.method = self.method.lower()
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method.lower() not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
+        self.method = self.method.lower()
         for name in (f.name for f in fields(self) if f.type == "int"):
             setattr(self, name, _integer(name, getattr(self, name)))
-        self.hidden_dims = tuple(_integer("hidden_dims", h) for h in self.hidden_dims)
+        hidden = self.hidden_dims
+        if isinstance(hidden, (str, bytes)) or not isinstance(hidden, Iterable):
+            raise ValueError(f"hidden_dims must be a sequence of integers, got {hidden!r}")
+        self.hidden_dims = tuple(_integer("hidden_dims", h) for h in hidden)
         for name in (f.name for f in fields(self) if f.type == "float"):
             setattr(self, name, _real(name, getattr(self, name)))
         if self.lam is not None:
@@ -390,7 +393,8 @@ def run_suite(
     if not seeds or not methods:
         raise ValueError("need at least one seed and one method")
     if dataset.labels is None:
-        raise ValueError("suite aggregation requires ground-truth labels")
+        raise ValueError(f"suite aggregation requires ground-truth labels; "
+                         f"dataset {dataset.name!r} has none")
     rows: list[SuiteRow] = []
     reports: list[RunReport] = []
     failures: list[tuple[str, int, str]] = []

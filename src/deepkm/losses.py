@@ -217,7 +217,7 @@ def combined_objective(
     params: AutoencoderParams,
     centroids: np.ndarray | None,
     config: LossConfig | None,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> CombinedResult:
     """Reconstruction + lam * clustering term, with full parameter gradients.
 
@@ -228,27 +228,25 @@ def combined_objective(
     as pretraining uses it, with ``clustering`` 0 and ``total`` equal to
     ``reconstruction``. With lam = 0 the gradients are bitwise those of
     no term. The activations, the residual and ``param_grads`` live in
-    ``workspace`` (a new one sized to the batch when omitted), so the
-    next step on it overwrites them.
+    ``workspace``, so the next step on it overwrites them.
     """
     if (centroids is None) != (config is None):
         raise ValueError("centroids and config must both be given, or both be None")
-    cache = forward(params, batch, workspace)
-    b = cache.batch.shape[0]
-    recon, grad_recon = reconstruction_loss(
-        cache.batch, cache.reconstruction, cache.workspace.residual[:b]
-    )
+    forward(params, batch, workspace)
+    latent, reconstruction = workspace.latent, workspace.reconstruction
+    recon, grad_recon = reconstruction_loss(batch, reconstruction,
+                                            workspace.residual[: len(reconstruction)])
     lam, variant = (0.0, None) if config is None else (float(config.lam), config.variant)
     clust, grad_latent, centroid_grads, assignment = 0.0, None, None, None
     if variant == "ct":
-        clust, grad_latent = ct_loss(cache.latent, centroids, config)
+        clust, grad_latent = ct_loss(latent, centroids, config)
     elif variant == "dkm":
-        clust, grad_latent, centroid_grads = dkm_loss(cache.latent, centroids, config)
+        clust, grad_latent, centroid_grads = dkm_loss(latent, centroids, config)
         centroid_grads = lam * centroid_grads if lam else np.zeros_like(centroids)
     elif variant == "dcn":
-        assignment = assign(cache.latent, centroids)
-        clust, grad_latent = dcn_penalty(cache.latent, centroids, assignment)
-    param_grads = backward(params, cache, grad_recon, lam * grad_latent if lam else None)
+        assignment = assign(latent, centroids)
+        clust, grad_latent = dcn_penalty(latent, centroids, assignment)
+    param_grads = backward(params, workspace, grad_recon, lam * grad_latent if lam else None)
     return CombinedResult(
         total=recon + lam * clust,
         reconstruction=recon,

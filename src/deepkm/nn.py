@@ -18,11 +18,15 @@ float64 arena, sized from the net and a batch height, whose views hold
 each layer's output, three backprop buffers, the reconstruction
 residual, the ``Gradients`` vector, laid out like ``params.flat``, and
 the optimizer's scratch blocks; a bool buffer holds the ReLU masks and
-the finiteness mask. Every net gets this one layout. ``forward`` writes
-into the workspace it is given (a new one sized to the batch if none
-is) and ``backward`` writes into the one its cache names, so a step on
-a reused workspace allocates nothing the size of a layer or of the net,
-and the gradients it returns are overwritten by the next step. So
+the finiteness mask. Every net gets this one layout. The workspace is
+also the step's one record: ``forward`` writes every layer's output into
+the workspace it is given and records its batch there, ``latent`` and
+``reconstruction`` read that pass, and ``backward`` differentiates it,
+writing into the same workspace. A workspace holds one pass at a time:
+the next ``forward`` replaces it, and one that holds none (new, or
+after a ``forward`` that raised) makes ``backward`` raise. So a step on
+a reused workspace allocates nothing the size of a layer or of the
+net, and the gradients it returns are overwritten by the next step. So
 ``optimizer_step`` checks once that the two layouts agree and that every
 gradient is finite, and updates the whole net with one SGD or Adam
 kernel, ``_Step.block``: in-place ufuncs over one ``_BLOCK``-element
@@ -448,21 +452,23 @@ def _rows(buffer: np.ndarray, b: int, width: int) -> np.ndarray:
 
 
 class _Slot:
-    """What a workspace shares with its ``Gradients`` for the optimizer:
-    whether a ``with`` block holds the workspace, the step deferred onto
-    its gradients, each thread's two scratch blocks of the optimizer
-    kernel, and the bool buffer for the finiteness mask."""
+    """The mutable part of a workspace, shared with its ``Gradients`` for
+    the optimizer: whether a ``with`` block holds the workspace, the step
+    deferred onto its gradients, each thread's two scratch blocks of the
+    optimizer kernel, the bool buffer for the finiteness mask, and the
+    batch of the forward pass its outputs hold (None: they hold none)."""
 
-    __slots__ = ("in_use", "step", "scratch", "mask")
+    __slots__ = ("in_use", "step", "scratch", "mask", "batch")
 
     def __init__(self, scratch: np.ndarray, mask: np.ndarray):
         self.in_use, self.step, self.scratch, self.mask = False, None, scratch, mask
+        self.batch = None
 
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
     """Every buffer of a training step on batches of up to ``rows`` rows
-    through ``params``' architecture.
+    through ``params``' architecture, and the record of its forward pass.
 
     Every net gets one layout. ``arena`` is one float64 block;
     ``outputs`` (each layer's (rows, output_dim) output, encoder layers
@@ -477,7 +483,9 @@ class Workspace:
     finiteness mask.
     A batch of b < rows rows uses the leading b rows of each view. The
     workspace holds one step at a time: the next ``forward`` into it
-    overwrites the last one's outputs and gradients.
+    overwrites the last one's outputs and gradients. ``latent`` and
+    ``reconstruction`` read the pass it holds, and raise a ValueError
+    when it holds none.
 
     Used as a context manager, the workspace lets ``optimizer_step``
     defer an update of its gradients to the next ``forward``; leaving
@@ -494,6 +502,7 @@ class Workspace:
     grads: Gradients = field(init=False, repr=False)
     mask: np.ndarray = field(init=False, repr=False)
     _slot: _Slot = field(init=False, repr=False)
+    _latent: int = field(init=False, repr=False)  # the latent's index in outputs
 
     def __post_init__(self, params: AutoencoderParams):
         rows = _integer("rows", self.rows)
@@ -516,7 +525,7 @@ class Workspace:
             ("rows", rows), ("layout", params.layout), ("arena", arena),
             ("grads", grads), ("outputs", outputs), ("backprop", tuple(views[-5:-2])),
             ("residual", _rows(views[-2], rows, params.input_dim)),
-            ("mask", mask), ("_slot", slot),
+            ("mask", mask), ("_slot", slot), ("_latent", len(params.encoder) - 1),
         ):
             object.__setattr__(self, name, value)
 
@@ -528,47 +537,41 @@ class Workspace:
         self._slot.in_use = False
         _settle(self._slot.step)
 
-
-@dataclass(frozen=True, eq=False)
-class ForwardCache:
-    """One forward pass, consumed by ``backward``: the batch and every
-    layer's output, views of ``workspace``."""
-
-    batch: np.ndarray
-    encoder_outputs: tuple[np.ndarray, ...]
-    decoder_outputs: tuple[np.ndarray, ...]
-    workspace: Workspace
+    @property
+    def reconstruction(self) -> np.ndarray:
+        """The (b, input_dim) reconstruction of the pass the workspace holds."""
+        if self._slot.batch is None:
+            raise ValueError("the workspace holds no forward pass: call forward() first")
+        return self.outputs[-1][: self._slot.batch.shape[0]]
 
     @property
     def latent(self) -> np.ndarray:
-        return self.encoder_outputs[-1]
-
-    @property
-    def reconstruction(self) -> np.ndarray:
-        return self.decoder_outputs[-1]
+        """The (b, latent_dim) codes of the pass the workspace holds."""
+        return self.outputs[self._latent][: len(self.reconstruction)]
 
 
 def forward(
     params: AutoencoderParams,
     batch: np.ndarray,
-    workspace: Workspace | None = None,
-) -> ForwardCache:
-    """Full encode+decode pass, keeping every layer's output for ``backward``.
+    workspace: Workspace,
+) -> Workspace:
+    """Full encode+decode pass into ``workspace``, which it returns.
 
-    The outputs are written into ``workspace`` (a new one sized to the
-    batch when omitted), overwriting its previous step: a cache from an
-    earlier call on the same workspace is then stale. An update pending
-    on ``params`` is applied on the way, each layer's values before that
-    layer runs.
+    Every layer's output is written into the workspace, and the batch is
+    recorded there for ``backward``: the pass replaces the one the
+    workspace held. An update pending on ``params`` is applied on the
+    way, each layer's values before that layer runs. If the pass raises,
+    the workspace holds no pass.
     """
     batch = _check_batch(batch, params.input_dim, "forward")
     b = batch.shape[0]
-    if workspace is None:
-        workspace = Workspace(params, b)
+    if not isinstance(workspace, Workspace):
+        raise ValueError(f"forward requires a Workspace, got {type(workspace).__name__}")
     elif workspace.layout != params.layout:
         raise ValueError("the workspace was built for another architecture")
     elif b > workspace.rows:
         raise ValueError(f"a workspace of {workspace.rows} rows cannot hold a {b}-row batch")
+    workspace._slot.batch = None
     outputs = [out[:b] for out in workspace.outputs]
     layers = params.encoder + params.decoder
     step = params._pending[0]
@@ -579,53 +582,54 @@ def forward(
         ends = list(itertools.accumulate(math.prod(shape) for _, shape in params.layout))[1::2]
         _apply(step, lambda ready: _run_layers(layers, batch, outputs,
                                                lambda i: ready(ends[i])))
-    split = len(params.encoder)
-    return ForwardCache(batch, tuple(outputs[:split]), tuple(outputs[split:]), workspace)
+    workspace._slot.batch = batch
+    return workspace
 
 
 def backward(
     params: AutoencoderParams,
-    cache: ForwardCache,
+    workspace: Workspace,
     grad_reconstruction: np.ndarray,
     grad_latent: np.ndarray | None = None,
 ) -> Gradients:
-    """Exact gradients of a scalar loss w.r.t. every parameter.
+    """Exact gradients of a scalar loss w.r.t. every parameter, through the
+    forward pass that ``workspace`` holds (a ValueError if it holds none).
 
     ``grad_reconstruction`` is dLoss/dReconstruction; ``grad_latent``, if
     given, is an extra dLoss/dLatent term added where the decoder's
     backward pass reaches the bottleneck (clustering losses use this).
     A ReLU layer passes the gradient where its output is positive, which
-    is where its pre-activation was. The result is the cache's
-    ``workspace.grads``, written in place: the next step on that
-    workspace overwrites it, so a caller that keeps one step's gradients
-    copies them. The input gradient of encoder layer 0 is never formed.
+    is where its pre-activation was. The result is ``workspace.grads``,
+    written in place: the next step on that workspace overwrites it, so a
+    caller that keeps one step's gradients copies them. The input
+    gradient of encoder layer 0 is never formed.
     """
-    if not isinstance(cache, ForwardCache):
-        raise ValueError("backward requires the ForwardCache of a prior forward() call")
-    workspace = cache.workspace
+    if not isinstance(workspace, Workspace):
+        raise ValueError("backward requires the Workspace of a prior forward() call")
     if workspace.layout != params.layout:
-        raise ValueError("forward cache does not match this architecture")
+        raise ValueError("the workspace was built for another architecture")
+    reconstruction, latent = workspace.reconstruction, workspace.latent  # raise without a pass
     grad_reconstruction = np.asarray(grad_reconstruction, dtype=np.float64)
-    if grad_reconstruction.shape != cache.reconstruction.shape:
+    if grad_reconstruction.shape != reconstruction.shape:
         raise ValueError(
             f"grad_reconstruction shape {grad_reconstruction.shape} does not match "
-            f"reconstruction {cache.reconstruction.shape}"
+            f"reconstruction {reconstruction.shape}"
         )
     if grad_latent is not None:
         grad_latent = np.asarray(grad_latent, dtype=np.float64)
-        if grad_latent.shape != cache.latent.shape:
+        if grad_latent.shape != latent.shape:
             raise ValueError(
-                f"grad_latent shape {grad_latent.shape} does not match latent {cache.latent.shape}"
+                f"grad_latent shape {grad_latent.shape} does not match latent {latent.shape}"
             )
     # the weights read here, and the gradients about to be overwritten,
     # must have no update pending on them
     _settle(params._pending[0])
     _settle(workspace._slot.step)
     layers = params.encoder + params.decoder
-    outputs = cache.encoder_outputs + cache.decoder_outputs
-    inputs = (cache.batch,) + outputs[:-1]
+    b = reconstruction.shape[0]
+    outputs = [out[:b] for out in workspace.outputs]
+    inputs = [workspace._slot.batch] + outputs[:-1]
     grads = workspace.grads.arrays
-    b = cache.batch.shape[0]
     helper = _helper_for(params.flat.size)
     # g is the upstream gradient, or lies in buffers[here]; each input
     # gradient goes to the next buffer in turn, once the weight-gradient

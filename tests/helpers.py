@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from deepkm.nn import forward, init_autoencoder, mirrored_spec
+from deepkm.losses import combined_objective
+from deepkm.nn import Workspace, forward, init_autoencoder, mirrored_spec
 
 TESTS = Path(__file__).resolve().parent
 
@@ -97,17 +98,27 @@ def num_grad_inplace(f, arr, step=1e-5):
     return g
 
 
-def relu_kink_margin(params, cache):
+def fresh_forward(params, batch):
+    """``forward`` into a new workspace sized to ``batch``: the workspace."""
+    return forward(params, batch, Workspace(params, len(batch)))
+
+
+def fresh_objective(batch, params, centroids, config):
+    """``combined_objective`` into a new workspace sized to ``batch``."""
+    return combined_objective(batch, params, centroids, config, Workspace(params, len(batch)))
+
+
+def relu_kink_margin(params, batch):
     """Distance of the nearest relu pre-activation to its kink at zero.
 
     Finite differences are only trustworthy when no pre-activation sits
     within the FD step of zero (zero-initialized biases can park a dead
-    sample exactly on the kink). The cache keeps layer outputs, so each
-    pre-activation is recomputed from its layer's input.
+    sample exactly on the kink). The workspace keeps layer outputs, so
+    each pre-activation is recomputed from its layer's input.
     """
-    outputs = cache.encoder_outputs + cache.decoder_outputs
+    outputs = [out[: len(batch)] for out in fresh_forward(params, batch).outputs]
     vals = [np.inf]
-    for layer, x in zip(params.encoder + params.decoder, (cache.batch,) + outputs[:-1]):
+    for layer, x in zip(params.encoder + params.decoder, [batch] + outputs[:-1]):
         if layer.activation == "relu":
             vals.append(float(np.abs(x @ layer.weight + layer.bias).min()))
     return min(vals)
@@ -132,7 +143,7 @@ def draw_smooth_net(rng, m=None, latent=None, hidden=None, batch_size=None, marg
         for layer in params.encoder + params.decoder:
             layer.bias[...] += rng.uniform(-0.3, 0.3, size=layer.bias.shape)
         batch = rng.standard_normal((b_, m_))
-        if relu_kink_margin(params, forward(params, batch)) > margin:
+        if relu_kink_margin(params, batch) > margin:
             return params, batch
     raise RuntimeError("could not draw a kink-free instance")
 

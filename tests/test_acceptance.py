@@ -20,7 +20,6 @@ from deepkm.data import load_idx, make_blobs
 from deepkm.harness import TrainConfig, run_method
 from deepkm.losses import (
     LossConfig,
-    combined_objective,
     ct_loss,
     ct_weights,
     dcn_penalty,
@@ -29,13 +28,15 @@ from deepkm.losses import (
     reconstruction_loss,
 )
 from deepkm.metrics import accuracy, hungarian, nmi
-from deepkm.nn import forward, iter_grad_arrays, iter_param_arrays
+from deepkm.nn import iter_grad_arrays, iter_param_arrays
 from helpers import (
     best_bipartition_objective,
     brute_force_accuracy,
     brute_force_min_assignment,
     draw_smooth_net,
     find_mnist,
+    fresh_forward,
+    fresh_objective,
     grads_close,
     nmi_direct,
     num_grad,
@@ -76,7 +77,7 @@ def test_criterion_1_gradient_exactness():
         if kind == "dcn":
             # park centroids far to one side so the argmin never flips
             # across an FD step
-            base = forward(params, batch).latent
+            base = fresh_forward(params, batch).latent
             centroids = base.mean(axis=0) + 30.0 * (1.0 + np.arange(k))[:, None] * np.ones(latent)
             centroids = np.asarray(centroids, dtype=np.float64)
         else:
@@ -86,10 +87,10 @@ def test_criterion_1_gradient_exactness():
             config = LossConfig("ct", lam=0.0, alpha=3.0)
         else:
             config = LossConfig(kind, lam=2.5, alpha=3.0)
-        result = combined_objective(batch, params, centroids, config)
+        result = fresh_objective(batch, params, centroids, config)
 
         def total():
-            return combined_objective(batch, params, centroids, config).total
+            return fresh_objective(batch, params, centroids, config).total
 
         grads = dict(iter_grad_arrays(result.param_grads))
         for name, arr in iter_param_arrays(params):
@@ -100,7 +101,7 @@ def test_criterion_1_gradient_exactness():
             checked += 1
 
         # the clustering terms also expose direct latent / centroid grads
-        latent_pts = forward(params, batch).latent
+        latent_pts = fresh_forward(params, batch).latent
         if kind == "ct":
             _, g = ct_loss(latent_pts, centroids, config)
             fd = num_grad(lambda z: ct_loss(z, centroids, config)[0], latent_pts)
@@ -117,7 +118,7 @@ def test_criterion_1_gradient_exactness():
             fd = num_grad(lambda z: dcn_penalty(z, centroids, labels)[0], latent_pts)
             assert grads_close(g, fd, rtol=1e-4, atol=1e-7), f"instance {i}: dcn latent grad"
         else:
-            val, g = reconstruction_loss(batch, forward(params, batch).reconstruction)
+            val, g = reconstruction_loss(batch, fresh_forward(params, batch).reconstruction)
             assert np.isfinite(val)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 1 min"

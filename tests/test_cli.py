@@ -417,6 +417,18 @@ class TestMainEndToEnd:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_suite_on_unlabelled_data_fails_and_writes_nothing(self, tmp_path, capsys):
+        table = tmp_path / "rows.csv"
+        table.write_text("".join(f"{i},{i % 3},{i * i % 7}\n" for i in range(12)))
+        out = tmp_path / "out"
+        code = main(["suite", "--dataset", f"csv:{table}", "--methods", "km",
+                     "--seeds", "0", "--out", str(out), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: suite aggregation requires ground-truth labels; "
+            f"dataset {str(table)!r} has none\n")
+        assert not out.exists()
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = main(["run", "--dataset", "csv:/no/such/table.csv",
                      "--out", str(tmp_path), *FAST])

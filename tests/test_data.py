@@ -476,10 +476,18 @@ class TestConcat:
         assert joined.n == 5
         assert joined.labels.tolist() == [0, 1, 1, 0, 1]
 
-    def test_missing_labels_anywhere_drops_labels(self):
-        a = Dataset(np.zeros((2, 3)), labels=[0, 1])
+    def test_mixed_labels_rejected_naming_the_first_unlabelled_part(self):
+        a = Dataset(np.zeros((2, 3)), labels=[0, 1], name="train")
+        b = Dataset(np.ones((1, 3)), name="test")
+        c = Dataset(np.ones((1, 3)), name="extra")
+        for parts, where in (([a, b, c], "part 1 ('test')"), ([c, a], "part 0 ('extra')")):
+            with pytest.raises(ValueError, match=re.escape(f"{where} has no labels")):
+                concat_datasets(parts)
+
+    def test_unlabelled_parts_stack_without_labels(self):
         b = Dataset(np.ones((1, 3)))
-        assert concat_datasets([a, b]).labels is None
+        joined = concat_datasets([b, Dataset(np.zeros((2, 3)))])
+        assert joined.labels is None and joined.n == 3
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,10 @@ class TestTrainConfig:
             {"kmeans_tol": False},
             {"lam": "1"},
             {"alpha": np.bool_(True)},
+            {"method": 5},
+            {"method": None},
+            {"hidden_dims": 5},
+            {"hidden_dims": "500"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -94,6 +98,16 @@ class TestTrainConfig:
     ])
     def test_non_integer_setting_is_named(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("method", 5, "unknown method 5; "), ("method", None, "unknown method None; "),
+        ("hidden_dims", 5, "hidden_dims must be a sequence of integers, got 5"),
+        ("hidden_dims", "500", "hidden_dims must be a sequence of integers, got '500'"),
+        ("hidden_dims", b"5", "hidden_dims must be a sequence of integers, got b'5'"),
+    ])
+    def test_setting_of_a_bad_type_is_named(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [

@@ -22,7 +22,6 @@ from deepkm.losses import (
 from deepkm.nn import (
     Workspace,
     backward,
-    forward,
     init_autoencoder,
     iter_grad_arrays,
     iter_param_arrays,
@@ -30,7 +29,14 @@ from deepkm.nn import (
     mirrored_spec,
     optimizer_step,
 )
-from helpers import draw_smooth_net, grads_close, num_grad, num_grad_inplace
+from helpers import (
+    draw_smooth_net,
+    fresh_forward,
+    fresh_objective,
+    grads_close,
+    num_grad,
+    num_grad_inplace,
+)
 
 
 class TestLossConfig:
@@ -311,7 +317,7 @@ class TestCombinedObjective:
         centroids = rng.standard_normal((3, 2))
         for variant in ("ct", "dkm", "dcn"):
             config = LossConfig(variant, lam=7.0, alpha=3.0)
-            result = combined_objective(batch, params, centroids, config)
+            result = fresh_objective(batch, params, centroids, config)
             assert result.total == result.reconstruction + 7.0 * result.clustering
 
     @pytest.mark.parametrize("variant", ["ct", "dkm", "dcn"])
@@ -320,11 +326,11 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((2, 2))
         config = LossConfig(variant, lam=0.0, alpha=3.0)
-        result = combined_objective(batch, params, centroids, config)
-        no_term = combined_objective(batch, params, None, None)
-        cache = forward(params, batch)
-        _, grad_recon = reconstruction_loss(batch, cache.reconstruction)
-        pure = backward(params, cache, grad_recon)
+        result = fresh_objective(batch, params, centroids, config)
+        no_term = fresh_objective(batch, params, None, None)
+        ws = fresh_forward(params, batch)
+        _, grad_recon = reconstruction_loss(batch, ws.reconstruction)
+        pure = backward(params, ws, grad_recon)
         for got in (result, no_term):
             for (_, a), (_, b) in zip(iter_grad_arrays(got.param_grads), iter_grad_arrays(pure)):
                 assert np.array_equal(a, b)
@@ -339,13 +345,13 @@ class TestCombinedObjective:
         rng = np.random.default_rng(10)
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         with pytest.raises(ValueError, match="both be given, or both be None"):
-            combined_objective(batch, params, centroids, config)
+            fresh_objective(batch, params, centroids, config)
 
     def test_lam_zero_dkm_freezes_centroids(self):
         rng = np.random.default_rng(11)
         params, batch = draw_smooth_net(rng, m=4, latent=2, batch_size=3)
         centroids = rng.standard_normal((2, 2))
-        result = combined_objective(
+        result = fresh_objective(
             batch, params, centroids, LossConfig("dkm", lam=0.0, alpha=3.0)
         )
         assert result.centroid_grads is not None
@@ -355,18 +361,18 @@ class TestCombinedObjective:
         rng = np.random.default_rng(12)
         params, batch = draw_smooth_net(rng, m=5, latent=3, batch_size=4)
         centroids = rng.standard_normal((3, 3))
-        r1 = combined_objective(batch, params, centroids, LossConfig("ct", lam=10.0, alpha=3.0))
-        r2 = combined_objective(batch, params, centroids, LossConfig("ct", lam=20.0, alpha=3.0))
+        r1 = fresh_objective(batch, params, centroids, LossConfig("ct", lam=10.0, alpha=3.0))
+        r2 = fresh_objective(batch, params, centroids, LossConfig("ct", lam=20.0, alpha=3.0))
         assert r2.total - r2.reconstruction == 2.0 * (r1.total - r1.reconstruction)
 
     def test_dkm_centroid_grads_scale_with_lam(self):
         rng = np.random.default_rng(13)
         params, batch = draw_smooth_net(rng, m=4, latent=2, batch_size=5)
         centroids = rng.standard_normal((3, 2))
-        g1 = combined_objective(
+        g1 = fresh_objective(
             batch, params, centroids, LossConfig("dkm", lam=1.0, alpha=3.0)
         ).centroid_grads
-        g4 = combined_objective(
+        g4 = fresh_objective(
             batch, params, centroids, LossConfig("dkm", lam=4.0, alpha=3.0)
         ).centroid_grads
         np.testing.assert_array_equal(g4, 4.0 * g1)
@@ -376,8 +382,8 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, batch_size=6)
         centroids = rng.standard_normal((3, 2))
         config = LossConfig("dcn", lam=10.0, alpha=3.0)
-        result = combined_objective(batch, params, centroids, config)
-        latent = forward(params, batch).latent
+        result = fresh_objective(batch, params, centroids, config)
+        latent = fresh_forward(params, batch).latent
         assert np.array_equal(result.assignment, assign(latent, centroids))
 
     @pytest.mark.parametrize("variant", ["ct", "dkm", "dcn"])
@@ -392,7 +398,7 @@ class TestCombinedObjective:
         for start in range(0, 23, 10):  # 10, 10, then the 3-row remainder
             batch = rows[start : start + 10]
             got = combined_objective(batch, params, centroids, config, workspace)
-            fresh = combined_objective(batch, params, centroids, config)
+            fresh = fresh_objective(batch, params, centroids, config)
             assert got.param_grads is workspace.grads
             assert (got.total, got.reconstruction, got.clustering) == (
                 fresh.total, fresh.reconstruction, fresh.clustering)
@@ -408,10 +414,10 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((3, 2))
         config = LossConfig(variant, lam=2.5, alpha=3.0)
-        result = combined_objective(batch, params, centroids, config)
+        result = fresh_objective(batch, params, centroids, config)
 
         def total():
-            return combined_objective(batch, params, centroids, config).total
+            return fresh_objective(batch, params, centroids, config).total
 
         grads = dict(iter_grad_arrays(result.param_grads))
         for name, arr in iter_param_arrays(params):
@@ -422,15 +428,15 @@ class TestCombinedObjective:
         rng = np.random.default_rng(16)
         # spread-out centroids keep the argmin stable across the FD step
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
-        latent = forward(params, batch).latent
+        latent = fresh_forward(params, batch).latent
         # both centroids off to one side so the decision boundary sits far
         # from every latent point
         centroids = np.array([latent.mean(axis=0) + [50.0, 0.0], latent.mean(axis=0) + [80.0, 0.0]])
         config = LossConfig("dcn", lam=2.0, alpha=3.0)
-        result = combined_objective(batch, params, centroids, config)
+        result = fresh_objective(batch, params, centroids, config)
 
         def total():
-            return combined_objective(batch, params, centroids, config).total
+            return fresh_objective(batch, params, centroids, config).total
 
         grads = dict(iter_grad_arrays(result.param_grads))
         for name, arr in iter_param_arrays(params):

@@ -124,6 +124,25 @@ def test_the_real_helper_changes_no_bit(reports):
     assert_report_matches(alone, reports["ours"], "ours at one BLAS thread")
 
 
+def test_the_default_blas_setup_matches_golden():
+    # the suite runs at one BLAS thread; with no thread count set, BLAS
+    # has one for every CPU and nn makes no helper, as in a plain CLI run
+    proc = run_python("""
+        import json
+        from deepkm import nn
+        from deepkm.harness import TrainConfig, run_method
+        from test_paper_pin import TRAIN, paper_rows
+
+        assert nn._helper() is None
+        print(json.dumps(run_method(paper_rows(), TrainConfig(method="dcn", **TRAIN))
+                         .to_json_dict()))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    golden = json.loads(GOLDEN.read_text())["dcn"]
+    assert_report_matches(strip_wall_clock(json.loads(proc.stdout)), golden,
+                          "dcn at the default BLAS thread count")
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(paper_reports(), indent=1, sort_keys=True) + "\n")
