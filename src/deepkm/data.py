@@ -161,6 +161,9 @@ def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
         if side * side != m:
             raise ValueError(f"feature dim {m} is not square; pass height and width")
         height = width = side
+    height, width = _integer("height", height), _integer("width", width)
+    if height < 1 or width < 1:
+        raise ValueError(f"height and width must be >= 1, got {height} and {width}")
     if height * width != m:
         raise ValueError(f"height*width = {height * width} does not match feature dim {m}")
     if labels_path is not None:
@@ -223,6 +226,11 @@ def load_delimited(
     the file; whatever it refuses goes through the per-line parser, which
     decides what is accepted and how errors read.
     """
+    if label_column is not None:
+        label_column = _integer("label_column", label_column)
+    skip_header = _integer("skip_header", skip_header)
+    if skip_header < 0:
+        raise ValueError(f"skip_header must be >= 0, got {skip_header}")
     table = None
     if _c_reader_agrees(path, delimiter):
         table = loadtxt_rows(path, delimiter=delimiter, skiprows=skip_header, ndmin=2)
@@ -335,8 +343,11 @@ def make_blobs(
     n_per_cluster = _integer("n_per_cluster", n_per_cluster)
     k, dim = _integer("k", k), _integer("dim", dim)
     separation, noise_sigma = _real("separation", separation), _real("noise_sigma", noise_sigma)
+    seed = _integer("seed", seed)
     if n_per_cluster < 1 or k < 1 or dim < 1:
         raise ValueError("n_per_cluster, k and dim must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if separation <= 0 or noise_sigma < 0:
         raise ValueError("separation must be positive and noise_sigma non-negative")
     rng = np.random.default_rng(seed)

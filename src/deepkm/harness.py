@@ -216,11 +216,12 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
     terms over batches. Without ``term`` it is a pretraining epoch on
     reconstruction alone; with it, a finetuning epoch whose batches also
     move ``term.centroids`` as the variant says: frozen for ct, optimizer
-    steps for dkm, running means for dcn. ``opt`` steps the net. Its steps
-    share one workspace, freed on return: before any full-data encode.
-    Within the epoch a step's update may still be pending (see
-    ``nn.optimizer_step``); the ``with`` block applies it when the epoch
-    ends or fails."""
+    steps for dkm, running means for dcn. ``opt`` steps the net by the
+    gradients of one workspace, which every step of the epoch shares and
+    which is freed on return: before any full-data encode. Within the
+    epoch a step's update may still be pending on the net (see
+    ``nn.optimizer_step``); leaving the ``with`` block applies it when the
+    epoch ends or fails."""
     recon_sum, clust_sum, batches = 0.0, 0.0, 0
     with Workspace(params, min(config.batch_size, dataset.n)) as workspace:
         for idx in _batches(dataset.n, config.batch_size, rng):
@@ -230,7 +231,7 @@ def _epoch(dataset: Dataset, config: TrainConfig, params: AutoencoderParams,
             if not np.isfinite(out.total):
                 what = "reconstruction loss at pretrain" if term is None else "loss at finetune"
                 raise FloatingPointError(f"non-finite {what} epoch {epoch}, batch {batches}")
-            optimizer_step(params, out.param_grads, opt)
+            optimizer_step(params, workspace, opt)
             recon_sum += out.reconstruction
             clust_sum += out.clustering
             batches += 1

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import assign, differences
-from .nn import AutoencoderParams, Gradients, Workspace, _real, backward, forward
+from .nn import AutoencoderParams, Workspace, _real, backward, forward
 
 VARIANTS = ("ct", "dkm", "dcn")
 
@@ -165,6 +165,8 @@ def dcn_penalty(
     latent = np.asarray(latent, dtype=np.float64)
     centroids = np.asarray(centroids, dtype=np.float64)
     assignment = np.asarray(assignment)
+    if not np.issubdtype(assignment.dtype, np.integer):  # a bool mask is no labels
+        raise ValueError(f"assignment must hold integer labels, got dtype {assignment.dtype}")
     if assignment.shape != (latent.shape[0],):
         raise ValueError(
             f"assignment shape {assignment.shape} does not match batch of {latent.shape[0]}"
@@ -188,7 +190,6 @@ class CombinedResult:
     total: float
     reconstruction: float
     clustering: float  # unscaled clustering term (0 without one); total = recon + lam * this
-    param_grads: Gradients  # the workspace's: the next step on it overwrites them
     centroid_grads: np.ndarray | None  # only the dkm variant trains centroids
     assignment: np.ndarray | None  # hard labels used by the dcn variant
 
@@ -227,8 +228,10 @@ def combined_objective(
     None mean no clustering term: the reconstruction objective alone,
     as pretraining uses it, with ``clustering`` 0 and ``total`` equal to
     ``reconstruction``. With lam = 0 the gradients are bitwise those of
-    no term. The activations, the residual and ``param_grads`` live in
-    ``workspace``, so the next step on it overwrites them.
+    no term. The activations, the residual and the parameter gradients
+    live in ``workspace``: read the gradients as ``workspace.grads`` (or
+    step by them with ``optimizer_step(params, workspace, state)``)
+    before the next step on it overwrites them.
     """
     if (centroids is None) != (config is None):
         raise ValueError("centroids and config must both be given, or both be None")
@@ -246,12 +249,11 @@ def combined_objective(
     elif variant == "dcn":
         assignment = assign(latent, centroids)
         clust, grad_latent = dcn_penalty(latent, centroids, assignment)
-    param_grads = backward(params, workspace, grad_recon, lam * grad_latent if lam else None)
+    backward(params, workspace, grad_recon, lam * grad_latent if lam else None)
     return CombinedResult(
         total=recon + lam * clust,
         reconstruction=recon,
         clustering=clust,
-        param_grads=param_grads,
         centroid_grads=centroid_grads,
         assignment=assignment,
     )

@@ -13,29 +13,30 @@ the layer specs (encoder layers, then decoder layers, each weight before
 its bias), lays out both stores. A net's one store is ``params.flat``: a
 new ``AutoencoderParams`` allocates it zero-filled, and every weight and
 bias is a view of it that cannot be rebound, so values are only ever
-written in place. A training step's store is a ``Workspace``: one
-float64 arena, sized from the net and a batch height, whose views hold
-each layer's output, three backprop buffers, the reconstruction
-residual, the ``Gradients`` vector, laid out like ``params.flat``, and
-the optimizer's scratch blocks; a bool buffer holds the ReLU masks and
-the finiteness mask. Every net gets this one layout. The workspace is
+written in place. A training step's store is a ``Workspace``, built for
+one net, which it keeps: one float64 arena, sized from the net and a
+batch height, whose views hold each layer's output, three backprop
+buffers, the reconstruction residual, the ``Gradients`` vector, laid
+out like ``params.flat``, and the optimizer's scratch blocks; a bool
+buffer holds the ReLU masks and the finiteness mask. Every net gets this one layout. The workspace is
 also the step's one record: ``forward`` writes every layer's output into
 the workspace it is given and records its batch there, ``latent`` and
 ``reconstruction`` read that pass, and ``backward`` differentiates it,
 writing into the same workspace. A workspace holds one pass at a time:
 the next ``forward`` replaces it, and one that holds none (new, or
-after a ``forward`` that raised) makes ``backward`` raise. So a step on
-a reused workspace allocates nothing the size of a layer or of the
-net, and the gradients it returns are overwritten by the next step. So
-``optimizer_step`` checks once that the two layouts agree and that every
-gradient is finite, and updates the whole net with one SGD or Adam
-kernel, ``_Step.block``: in-place ufuncs over one ``_BLOCK``-element
-block of the two flat vectors, so that the slices and two block-sized
-scratch buffers stay in cache. Each element goes through the same
-operations in the same order as the textbook per-tensor formulas, so the
-bits depend neither on the layout nor on the block size, nor on which
-thread applies a block or when. ``step_array`` runs the same kernel on
-the dkm centroids.
+after a ``forward`` that raised) makes ``backward`` raise. ``forward``,
+``backward`` and ``optimizer_step`` refuse a workspace of another net.
+So a step on a reused workspace allocates nothing the size of a layer
+or of the net, and its gradients are overwritten by the next step.
+``optimizer_step(params, workspace, state)`` steps the net by the
+workspace's gradients: it checks once that every gradient is finite,
+and updates the whole net with one SGD or Adam kernel, ``_Step.block``:
+in-place ufuncs over one ``_BLOCK``-element block of the two flat
+vectors, so that the slices and two block-sized scratch buffers stay in
+cache. Each element goes through the same operations in the same order
+as the textbook per-tensor formulas, so the bits depend neither on the
+layout nor on the block size, nor on which thread applies a block or
+when. ``step_array`` runs the same kernel on the dkm centroids.
 
 Encodes: ``encode`` (the batch as one block) and ``encode_blocks``
 (blocks of ``_ENCODE_ROWS`` rows) share one routine, which makes one
@@ -64,15 +65,16 @@ helper's jobs itself, at once:
   gradient. Input gradients rotate through three backprop buffers, and
   the caller waits for a GEMM only before it overwrites the buffer that
   GEMM reads, two layers later.
-* ``optimizer_step`` checks the gradients, then, with the helper, for
-  the gradients of a workspace held by a ``with`` block, leaves the
-  update pending in that workspace, with Adam's step count fixed. The
-  next ``forward`` applies it: both threads claim blocks in forward
-  order from one counter, and the caller runs a layer's GEMM once that
-  layer's blocks are done, applying blocks itself while it waits.
-  Leaving the ``with`` block applies what is still pending, on both
-  threads, as any other update is applied at once; without the helper,
-  the caller claims every block in order through the same counter.
+* ``optimizer_step`` checks the gradients, then, with the helper, on a
+  workspace held by a ``with`` block, leaves the update pending on the
+  net, with Adam's step count fixed: ``params._pending`` is its one
+  record. The next ``forward`` applies it: both threads claim blocks in
+  forward order from one counter, and the caller runs a layer's GEMM
+  once that layer's blocks are done, applying blocks itself while it
+  waits. Leaving the ``with`` block applies the update pending on the
+  workspace's net, on both threads, as any other update is applied at
+  once; without the helper, the caller claims every block in order
+  through the same counter.
 
 Every BLAS call and every ufunc keeps its operands, shapes and order, so
 only the thread that runs it, and when, changes: not a bit of any
@@ -98,7 +100,7 @@ import itertools
 import math
 import numbers
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -344,7 +346,7 @@ class AutoencoderParams:
     def copy(self) -> "AutoencoderParams":
         """Independent params: a new net holding a copy of ``flat``, with
         any pending update applied first."""
-        _settle(self._pending[0])
+        _settle(self)
         twin = AutoencoderParams(self.encoder_spec, self.decoder_spec)
         twin.flat[...] = self.flat
         return twin
@@ -358,8 +360,6 @@ class Gradients:
     layout: Layout
     flat: np.ndarray = field(repr=False)
     arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    # the _Slot of the workspace these gradients live in, if any
-    _slot: _Slot | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "arrays", _views(self.flat, self.layout))
@@ -376,6 +376,9 @@ def init_autoencoder(
     The decoder must map the encoder's latent dim back to its input dim.
     Each layer's draw is written into its view of the new net's ``flat``.
     """
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     params = AutoencoderParams(encoder_spec, decoder_spec)
     rng = np.random.default_rng(seed)
     for layer in params.encoder + params.decoder:
@@ -417,7 +420,7 @@ def _encode(params: AutoencoderParams, batch: np.ndarray, block: int) -> np.ndar
     """The (n, latent_dim) codes of the checked ``batch``, ``block`` rows
     at a time through one scratch array (see Encodes above), with any
     pending update applied first."""
-    _settle(params._pending[0])
+    _settle(params)
     # the result first: a scratch small enough for the heap then lies
     # above it, where freeing it can shrink the heap again
     out = np.empty((batch.shape[0], params.latent_dim))
@@ -452,31 +455,28 @@ def _rows(buffer: np.ndarray, b: int, width: int) -> np.ndarray:
 
 
 class _Slot:
-    """The mutable part of a workspace, shared with its ``Gradients`` for
-    the optimizer: whether a ``with`` block holds the workspace, the step
-    deferred onto its gradients, each thread's two scratch blocks of the
-    optimizer kernel, the bool buffer for the finiteness mask, and the
-    batch of the forward pass its outputs hold (None: they hold none)."""
+    """The mutable part of a workspace: whether a ``with`` block holds it,
+    and the batch of the forward pass its outputs hold (None: they hold
+    none)."""
 
-    __slots__ = ("in_use", "step", "scratch", "mask", "batch")
+    __slots__ = ("in_use", "batch")
 
-    def __init__(self, scratch: np.ndarray, mask: np.ndarray):
-        self.in_use, self.step, self.scratch, self.mask = False, None, scratch, mask
-        self.batch = None
+    def __init__(self):
+        self.in_use, self.batch = False, None
 
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """Every buffer of a training step on batches of up to ``rows`` rows
-    through ``params``' architecture, and the record of its forward pass.
+    """Every buffer of a training step of ``params`` on batches of up to
+    ``rows`` rows, and the record of its forward pass.
 
     Every net gets one layout. ``arena`` is one float64 block;
     ``outputs`` (each layer's (rows, output_dim) output, encoder layers
     then decoder layers), ``backprop`` (three 1-d buffers of rows * the
     widest layer, through which input gradients rotate), ``residual``
     ((rows, input_dim), the reconstruction residual and then its
-    gradient), ``grads`` (laid out like ``params.flat``) and the
-    optimizer kernel's scratch (two blocks per thread, each of
+    gradient), ``grads`` (laid out like ``params.flat``) and ``scratch``
+    (the optimizer kernel's two blocks per thread, each of
     ``min(params.flat.size, _BLOCK)`` values) are views of it. ``mask``
     is a bool buffer of rows * the widest layer values, and no shorter
     than one scratch block, for the ReLU masks and ``optimizer_step``'s
@@ -485,26 +485,31 @@ class Workspace:
     workspace holds one step at a time: the next ``forward`` into it
     overwrites the last one's outputs and gradients. ``latent`` and
     ``reconstruction`` read the pass it holds, and raise a ValueError
-    when it holds none.
+    when it holds none. ``forward``, ``backward`` and ``optimizer_step``
+    refuse a workspace built for another net.
 
     Used as a context manager, the workspace lets ``optimizer_step``
-    defer an update of its gradients to the next ``forward``; leaving
-    the ``with`` block applies what is still pending.
+    defer an update of ``params`` by its gradients to the next
+    ``forward``; leaving the ``with`` block applies the update pending on
+    ``params``.
     """
 
-    params: InitVar[AutoencoderParams]
+    params: AutoencoderParams = field(repr=False)
     rows: int
-    layout: Layout = field(init=False, repr=False)
     arena: np.ndarray = field(init=False, repr=False)
     outputs: tuple[np.ndarray, ...] = field(init=False, repr=False)
     backprop: tuple[np.ndarray, ...] = field(init=False, repr=False)
     residual: np.ndarray = field(init=False, repr=False)
     grads: Gradients = field(init=False, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
     mask: np.ndarray = field(init=False, repr=False)
     _slot: _Slot = field(init=False, repr=False)
     _latent: int = field(init=False, repr=False)  # the latent's index in outputs
 
-    def __post_init__(self, params: AutoencoderParams):
+    def __post_init__(self):
+        params = self.params
+        if not isinstance(params, AutoencoderParams):
+            raise ValueError(f"params must be an AutoencoderParams, got {type(params).__name__}")
         rows = _integer("rows", self.rows)
         if rows < 0:
             raise ValueError(f"workspace rows must be >= 0, got {rows}")
@@ -517,15 +522,13 @@ class Workspace:
         views = [arena[end - size : end]
                  for size, end in zip(sizes, itertools.accumulate(sizes))]
         outputs = tuple(_rows(v, rows, w) for v, w in zip(views[1:], widths))
-        mask = np.empty(max(rows * wide, block), dtype=bool)
-        slot = _Slot(views[-1].reshape(2, 2, block), mask)
-        grads = Gradients(params.layout, views[0])
-        object.__setattr__(grads, "_slot", slot)
         for name, value in (
-            ("rows", rows), ("layout", params.layout), ("arena", arena),
-            ("grads", grads), ("outputs", outputs), ("backprop", tuple(views[-5:-2])),
+            ("rows", rows), ("arena", arena), ("grads", Gradients(params.layout, views[0])),
+            ("outputs", outputs), ("backprop", tuple(views[-5:-2])),
             ("residual", _rows(views[-2], rows, params.input_dim)),
-            ("mask", mask), ("_slot", slot), ("_latent", len(params.encoder) - 1),
+            ("scratch", views[-1].reshape(2, 2, block)),
+            ("mask", np.empty(max(rows * wide, block), dtype=bool)),
+            ("_slot", _Slot()), ("_latent", len(params.encoder) - 1),
         ):
             object.__setattr__(self, name, value)
 
@@ -535,7 +538,7 @@ class Workspace:
 
     def __exit__(self, *exc_info) -> None:
         self._slot.in_use = False
-        _settle(self._slot.step)
+        _settle(self.params)
 
     @property
     def reconstruction(self) -> np.ndarray:
@@ -548,6 +551,14 @@ class Workspace:
     def latent(self) -> np.ndarray:
         """The (b, latent_dim) codes of the pass the workspace holds."""
         return self.outputs[self._latent][: len(self.reconstruction)]
+
+
+def _check_workspace(params: AutoencoderParams, workspace: Workspace, what: str) -> None:
+    """Refuse anything but a workspace built for ``params``."""
+    if not isinstance(workspace, Workspace):
+        raise ValueError(f"{what} requires a Workspace, got {type(workspace).__name__}")
+    if workspace.params is not params:
+        raise ValueError(f"{what} was given the workspace of another net")
 
 
 def forward(
@@ -565,23 +576,19 @@ def forward(
     """
     batch = _check_batch(batch, params.input_dim, "forward")
     b = batch.shape[0]
-    if not isinstance(workspace, Workspace):
-        raise ValueError(f"forward requires a Workspace, got {type(workspace).__name__}")
-    elif workspace.layout != params.layout:
-        raise ValueError("the workspace was built for another architecture")
-    elif b > workspace.rows:
+    _check_workspace(params, workspace, "forward")
+    if b > workspace.rows:
         raise ValueError(f"a workspace of {workspace.rows} rows cannot hold a {b}-row batch")
     workspace._slot.batch = None
     outputs = [out[:b] for out in workspace.outputs]
     layers = params.encoder + params.decoder
-    step = params._pending[0]
-    if step is None:
+    if params._pending[0] is None:
         _run_layers(layers, batch, outputs)
     else:
         # layer i reads the flat vector up to the end of its bias
         ends = list(itertools.accumulate(math.prod(shape) for _, shape in params.layout))[1::2]
-        _apply(step, lambda ready: _run_layers(layers, batch, outputs,
-                                               lambda i: ready(ends[i])))
+        _settle(params, lambda ready: _run_layers(layers, batch, outputs,
+                                                  lambda i: ready(ends[i])))
     workspace._slot.batch = batch
     return workspace
 
@@ -604,10 +611,7 @@ def backward(
     caller that keeps one step's gradients copies them. The input
     gradient of encoder layer 0 is never formed.
     """
-    if not isinstance(workspace, Workspace):
-        raise ValueError("backward requires the Workspace of a prior forward() call")
-    if workspace.layout != params.layout:
-        raise ValueError("the workspace was built for another architecture")
+    _check_workspace(params, workspace, "backward")
     reconstruction, latent = workspace.reconstruction, workspace.latent  # raise without a pass
     grad_reconstruction = np.asarray(grad_reconstruction, dtype=np.float64)
     if grad_reconstruction.shape != reconstruction.shape:
@@ -623,8 +627,7 @@ def backward(
             )
     # the weights read here, and the gradients about to be overwritten,
     # must have no update pending on them
-    _settle(params._pending[0])
-    _settle(workspace._slot.step)
+    _settle(params)
     layers = params.encoder + params.decoder
     b = reconstruction.shape[0]
     outputs = [out[:b] for out in workspace.outputs]
@@ -710,17 +713,14 @@ class _Step:
 
     as in-place ufuncs over the block's slices with two block-sized
     scratch buffers, so the result depends neither on the block size nor
-    on the order or thread in which blocks are applied. ``scratch`` is
-    the gradients' workspace's (one pair of buffers per thread), or None
-    for ``_apply`` to make.
-    ``params`` and ``slot`` are set while the step is deferred.
+    on the order or thread in which blocks are applied. ``scratch`` holds
+    one pair of buffers per thread.
     """
 
-    __slots__ = ("p", "g", "m", "v", "lr", "c1", "c2", "size", "blocks", "scratch",
-                 "params", "slot")
+    __slots__ = ("p", "g", "m", "v", "lr", "c1", "c2", "size", "blocks", "scratch")
 
     def __init__(self, p: np.ndarray, g: np.ndarray, state: OptimizerState,
-                 scratch: np.ndarray | None):
+                 scratch: np.ndarray):
         if state.kind == "adam":
             if state.m is None:
                 state.m, state.v = np.zeros_like(p), np.zeros_like(p)
@@ -735,7 +735,6 @@ class _Step:
         self.lr, self.c1, self.c2 = state.learning_rate, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
         self.size, self.scratch = _BLOCK, scratch
         self.blocks = -(-p.size // _BLOCK)
-        self.params = self.slot = None
 
     def block(self, j: int, scratch: np.ndarray) -> None:
         """Apply block ``j``, with ``scratch``'s two rows as the buffers."""
@@ -764,20 +763,9 @@ class _Step:
         np.divide(a, b, out=a)
         np.subtract(pb, a, out=pb)
 
-    def defer(self, params: AutoencoderParams, slot: _Slot) -> None:
-        """Leave the step pending on ``params`` and in ``slot``."""
-        self.params, self.slot = params, slot
-        params._pending[0] = slot.step = self
-
-    def detach(self) -> None:
-        """Take the step out of wherever it is pending."""
-        if self.slot is not None:
-            self.params._pending[0] = self.slot.step = None
-            self.params = self.slot = None
-
 
 def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = None) -> None:
-    """Apply every block of ``step``, taken out of wherever it was pending.
+    """Apply every block of ``step``.
 
     Threads claim blocks in order from one counter: the helper's job, run
     at once on the caller when there is no helper, claims blocks until
@@ -788,10 +776,7 @@ def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = N
     have stopped when this returns or raises; after an error the helper
     claims no more blocks.
     """
-    step.detach()
     scratch = step.scratch
-    if scratch is None:
-        scratch = np.empty((2, 2, min(step.p.size, step.size)))
     # The threads share only these: a claim is one call of a C iterator,
     # and each block's flag and the failure list are written by single
     # operations, so the interpreter lock orders them without a lock.
@@ -831,55 +816,44 @@ def _apply(step: _Step, work: Callable[[Callable[[int], None]], None] | None = N
             _join(job)
 
 
-def _settle(step: _Step | None) -> None:
-    """Apply ``step`` now, if there is one."""
+def _settle(params: AutoencoderParams,
+            work: Callable[[Callable[[int], None]], None] | None = None) -> None:
+    """Apply the update pending on ``params``, if any, taken out of its
+    record first; ``work`` runs beside it as for ``_apply``."""
+    step, params._pending[0] = params._pending[0], None
     if step is not None:
-        _apply(step)
-
-
-def _update(p: np.ndarray, g: np.ndarray, state: OptimizerState) -> None:
-    """One SGD or Adam step on the 1-d float64 vector ``p``, in place, now."""
-    _apply(_Step(p, g, state, None))
+        _apply(step, work)
 
 
 def optimizer_step(
     params: AutoencoderParams,
-    grads: Gradients,
+    workspace: Workspace,
     state: OptimizerState,
 ) -> tuple[AutoencoderParams, OptimizerState]:
-    """Apply one in-place update. SGD: p -= lr*g; Adam: bias-corrected moments.
+    """Apply one in-place update of ``params`` by the gradients of
+    ``workspace``, which must be built for ``params``. SGD: p -= lr*g;
+    Adam: bias-corrected moments.
 
-    An update still pending on ``params`` or on ``grads`` is applied
-    first. The gradients' layout (a ValueError names the first tensor that
-    differs) and finiteness (block by block into one block-sized mask, the
-    workspace's bool buffer when ``grads`` are a workspace's; a
-    FloatingPointError names the first tensor holding a NaN or inf) are
+    An update still pending on ``params`` is applied first. The
+    gradients' finiteness (block by block into the workspace's mask; a
+    FloatingPointError names the first tensor holding a NaN or inf) is
     then checked before any parameter or moment moves. The update runs
-    now, unless ``grads`` are those of a workspace held by a ``with``
-    block, the net is larger than ``_BLOCK`` and the helper thread
-    exists: then it is left pending, and the next ``forward`` applies it
-    (any other reader of ``params`` in this module first applies it too).
+    now, unless a ``with`` block holds the workspace, the net is larger
+    than ``_BLOCK`` and the helper thread exists: then it is left pending
+    on ``params``, and the next ``forward`` applies it (any other reader
+    of ``params`` in this module first applies it too).
     """
-    _settle(params._pending[0])
-    slot = grads._slot
-    if slot is not None:
-        _settle(slot.step)
-    if grads.layout != params.layout:
-        p, g = next(pair for pair in itertools.zip_longest(params.layout, grads.layout)
-                    if pair[0] != pair[1])
-        raise ValueError(
-            f"gradients do not match the parameters at {(p or g)[0]}: "
-            f"shape {p and p[1]} vs {g and g[1]}"
-        )
-    finite = np.empty(min(grads.flat.size, _BLOCK), dtype=bool) if slot is None else slot.mask
+    _check_workspace(params, workspace, "optimizer_step")
+    _settle(params)
+    grads = workspace.grads
     for start in range(0, grads.flat.size, _BLOCK):
         block = grads.flat[start : start + _BLOCK]
-        if not np.isfinite(block, out=finite[: block.size]).all():
+        if not np.isfinite(block, out=workspace.mask[: block.size]).all():
             name = next(name for name, g in iter_grad_arrays(grads) if not np.isfinite(g).all())
             raise FloatingPointError(f"non-finite gradient in {name}")
-    step = _Step(params.flat, grads.flat, state, None if slot is None else slot.scratch)
-    if slot is not None and slot.in_use and _helper_for(params.flat.size) is not None:
-        step.defer(params, slot)
+    step = _Step(params.flat, grads.flat, state, workspace.scratch)
+    if workspace._slot.in_use and _helper_for(params.flat.size) is not None:
+        params._pending[0] = step
     else:
         _apply(step)
     return params, state
@@ -887,7 +861,7 @@ def optimizer_step(
 
 def step_array(array: np.ndarray, grad: np.ndarray, state: OptimizerState) -> None:
     """One in-place SGD or Adam step on the dkm centroids, a C-contiguous
-    float64 ``array``, with the kernel of ``optimizer_step``."""
+    float64 ``array``, with the kernel of ``optimizer_step``, now."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != array.shape:
         raise ValueError(f"gradient shape mismatch for centroids: {array.shape} vs {grad.shape}")
@@ -895,4 +869,5 @@ def step_array(array: np.ndarray, grad: np.ndarray, state: OptimizerState) -> No
         raise ValueError("centroids must be a C-contiguous float64 array to be updated in place")
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient in centroids")
-    _update(array.reshape(-1), grad.ravel(), state)
+    scratch = np.empty((2, 2, min(array.size, _BLOCK)))
+    _apply(_Step(array.reshape(-1), grad.ravel(), state, scratch))

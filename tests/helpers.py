@@ -103,9 +103,16 @@ def fresh_forward(params, batch):
     return forward(params, batch, Workspace(params, len(batch)))
 
 
+def fresh_objective_grads(batch, params, centroids, config):
+    """``combined_objective`` into a new workspace sized to ``batch``: its
+    result and the workspace's parameter gradients."""
+    workspace = Workspace(params, len(batch))
+    return combined_objective(batch, params, centroids, config, workspace), workspace.grads
+
+
 def fresh_objective(batch, params, centroids, config):
     """``combined_objective`` into a new workspace sized to ``batch``."""
-    return combined_objective(batch, params, centroids, config, Workspace(params, len(batch)))
+    return fresh_objective_grads(batch, params, centroids, config)[0]
 
 
 def relu_kink_margin(params, batch):

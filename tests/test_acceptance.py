@@ -37,6 +37,7 @@ from helpers import (
     find_mnist,
     fresh_forward,
     fresh_objective,
+    fresh_objective_grads,
     grads_close,
     nmi_direct,
     num_grad,
@@ -87,12 +88,12 @@ def test_criterion_1_gradient_exactness():
             config = LossConfig("ct", lam=0.0, alpha=3.0)
         else:
             config = LossConfig(kind, lam=2.5, alpha=3.0)
-        result = fresh_objective(batch, params, centroids, config)
+        _, result_grads = fresh_objective_grads(batch, params, centroids, config)
 
         def total():
             return fresh_objective(batch, params, centroids, config).total
 
-        grads = dict(iter_grad_arrays(result.param_grads))
+        grads = dict(iter_grad_arrays(result_grads))
         for name, arr in iter_param_arrays(params):
             numeric = num_grad_inplace(total, arr)
             assert grads_close(grads[name], numeric, rtol=1e-4, atol=1e-7), (

@@ -215,8 +215,39 @@ class TestSaveIdx:
         assert not (tmp_path / "a.idx").exists()
         assert not (tmp_path / "b.idx").exists()
 
+    @pytest.mark.parametrize("height, width, message", [
+        (-2, -2, "height and width must be >= 1, got -2 and -2"),
+        (0, 4, "height and width must be >= 1, got 0 and 4"),
+        (2.0, 2, "height must be an integer, got 2.0"),
+        (2, True, "width must be an integer, got True"),
+    ])
+    def test_bad_height_or_width_rejected_before_writing(self, tmp_path, height, width, message):
+        # -2 * -2 matches the 4 features: it once left a partial file behind
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            save_idx(Dataset(np.zeros((2, 4))), tmp_path / "a.idx", height=height, width=width)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLoadDelimited:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"label_column": True}, "label_column must be an integer, got True"),
+        ({"label_column": 1.0}, "label_column must be an integer, got 1.0"),
+        ({"skip_header": -1}, "skip_header must be >= 0, got -1"),
+        ({"skip_header": 1.5}, "skip_header must be an integer, got 1.5"),
+        ({"skip_header": None}, "skip_header must be an integer, got None"),
+    ])
+    def test_bad_label_column_or_skip_header_rejected_by_name(self, tmp_path, kwargs, message):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,0\n2,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_delimited(p, **kwargs)
+
+    def test_numpy_integer_label_column_and_skip_header_accepted(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,0\n2,1\n")
+        ds = load_delimited(p, label_column=np.int64(-1), skip_header=np.int32(1))
+        assert ds.labels.tolist() == [0, 1]
+
     def test_plain_table(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("1.0,2.0\n3.0,4.0\n")
@@ -555,3 +586,15 @@ class TestMakeBlobs:
     def test_bad_argument_rejected_by_name(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             make_blobs(*args, seed=0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_seed_rejected_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_blobs(5, 2, 3, 4.0, 1.0, seed=seed)
+
+    def test_numpy_seed_names_the_dataset_as_an_int(self):
+        assert make_blobs(5, 2, 3, 4.0, 1.0, seed=np.uint64(7)).name == "blobs(k=2,dim=3,seed=7)"

@@ -33,6 +33,7 @@ from helpers import (
     draw_smooth_net,
     fresh_forward,
     fresh_objective,
+    fresh_objective_grads,
     grads_close,
     num_grad,
     num_grad_inplace,
@@ -290,6 +291,15 @@ class TestDcnPenalty:
         with pytest.raises(ValueError):
             dcn_penalty(np.zeros((2, 2)), np.zeros((3, 2)), np.array([0]))
 
+    @pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0], [0.5, 0.0]])
+    def test_bool_or_non_integer_labels_rejected_by_name(self, labels):
+        # [True, False] once indexed as a mask and scored labels [0, 0]
+        latent = np.array([[0.0, 0.0], [4.0, 0.0]])
+        centroids = np.array([[1.0, 0.0], [5.0, 0.0]])
+        assert dcn_penalty(latent, centroids, np.array([1, 0]))[0] == 8.5
+        with pytest.raises(ValueError, match="^assignment must hold integer labels, got dtype "):
+            dcn_penalty(latent, centroids, np.array(labels))
+
 
 class TestReconstructionLoss:
     def test_perfect_reconstruction(self):
@@ -326,13 +336,13 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((2, 2))
         config = LossConfig(variant, lam=0.0, alpha=3.0)
-        result = fresh_objective(batch, params, centroids, config)
-        no_term = fresh_objective(batch, params, None, None)
+        result, result_grads = fresh_objective_grads(batch, params, centroids, config)
+        no_term, no_term_grads = fresh_objective_grads(batch, params, None, None)
         ws = fresh_forward(params, batch)
         _, grad_recon = reconstruction_loss(batch, ws.reconstruction)
         pure = backward(params, ws, grad_recon)
-        for got in (result, no_term):
-            for (_, a), (_, b) in zip(iter_grad_arrays(got.param_grads), iter_grad_arrays(pure)):
+        for got in (result_grads, no_term_grads):
+            for (_, a), (_, b) in zip(iter_grad_arrays(got), iter_grad_arrays(pure)):
                 assert np.array_equal(a, b)
         assert result.reconstruction == no_term.reconstruction
         assert result.total == no_term.total == no_term.reconstruction
@@ -398,15 +408,14 @@ class TestCombinedObjective:
         for start in range(0, 23, 10):  # 10, 10, then the 3-row remainder
             batch = rows[start : start + 10]
             got = combined_objective(batch, params, centroids, config, workspace)
-            fresh = fresh_objective(batch, params, centroids, config)
-            assert got.param_grads is workspace.grads
+            fresh, fresh_grads = fresh_objective_grads(batch, params, centroids, config)
             assert (got.total, got.reconstruction, got.clustering) == (
                 fresh.total, fresh.reconstruction, fresh.clustering)
-            assert np.array_equal(got.param_grads.flat, fresh.param_grads.flat)
+            assert np.array_equal(workspace.grads.flat, fresh_grads.flat)
             for a, b in ((got.centroid_grads, fresh.centroid_grads),
                          (got.assignment, fresh.assignment)):
                 assert (a is None and b is None) or np.array_equal(a, b)
-            optimizer_step(params, got.param_grads, state)
+            optimizer_step(params, workspace, state)
 
     @pytest.mark.parametrize("variant", ["ct", "dkm"])
     def test_parameter_gradients_match_finite_differences(self, variant):
@@ -414,12 +423,12 @@ class TestCombinedObjective:
         params, batch = draw_smooth_net(rng, m=4, latent=2, hidden=(5,), batch_size=3)
         centroids = rng.standard_normal((3, 2))
         config = LossConfig(variant, lam=2.5, alpha=3.0)
-        result = fresh_objective(batch, params, centroids, config)
+        _, result_grads = fresh_objective_grads(batch, params, centroids, config)
 
         def total():
             return fresh_objective(batch, params, centroids, config).total
 
-        grads = dict(iter_grad_arrays(result.param_grads))
+        grads = dict(iter_grad_arrays(result_grads))
         for name, arr in iter_param_arrays(params):
             numeric = num_grad_inplace(total, arr)
             assert grads_close(grads[name], numeric), name
@@ -433,12 +442,12 @@ class TestCombinedObjective:
         # from every latent point
         centroids = np.array([latent.mean(axis=0) + [50.0, 0.0], latent.mean(axis=0) + [80.0, 0.0]])
         config = LossConfig("dcn", lam=2.0, alpha=3.0)
-        result = fresh_objective(batch, params, centroids, config)
+        _, result_grads = fresh_objective_grads(batch, params, centroids, config)
 
         def total():
             return fresh_objective(batch, params, centroids, config).total
 
-        grads = dict(iter_grad_arrays(result.param_grads))
+        grads = dict(iter_grad_arrays(result_grads))
         for name, arr in iter_param_arrays(params):
             numeric = num_grad_inplace(total, arr)
             assert grads_close(grads[name], numeric), name

@@ -124,6 +124,19 @@ class TestInit:
                 seed=0,
             )
 
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_seed_rejected_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            init_autoencoder(*mirrored_spec(4, 2, (3,)), seed=seed)
+
+    def test_numpy_seed_is_the_same_seed(self):
+        want = tiny_net(seed=7).flat
+        assert np.array_equal(init_autoencoder(*mirrored_spec(4, 2, (3,)), np.uint64(7)).flat, want)
+
     def test_bad_activation_rejected(self):
         with pytest.raises(ValueError):
             LayerSpec(3, 3, "tanh")
@@ -339,7 +352,7 @@ class TestBackward:
 
     def test_missing_cache_rejected(self):
         params = tiny_net(seed=1)
-        with pytest.raises(ValueError, match="requires the Workspace of a prior forward"):
+        with pytest.raises(ValueError, match="^backward requires a Workspace, got NoneType$"):
             backward(params, None, np.zeros((2, 4)))
         # a workspace no forward pass has written
         with pytest.raises(ValueError, match="holds no forward pass"):
@@ -349,7 +362,7 @@ class TestBackward:
         params = tiny_net(seed=1)
         other = tiny_net(seed=2, m=4, latent=2, hidden=(3, 3))
         ws = fresh_forward(other, np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="another architecture"):
+        with pytest.raises(ValueError, match="another net"):
             backward(params, ws, np.zeros((2, 4)))
 
     def test_wrong_grad_shapes_rejected(self):
@@ -361,8 +374,11 @@ class TestBackward:
             backward(params, ws, np.zeros((2, 4)), grad_latent=np.zeros((2, 9)))
 
 
-def zero_grads_like(params):
-    return Gradients(params.layout, np.zeros_like(params.flat))
+def zeroed_workspace(params):
+    """A workspace of no rows for ``params``, its gradients all zero."""
+    workspace = Workspace(params, 0)
+    workspace.grads.flat[...] = 0.0
+    return workspace
 
 
 def grad_view(grads, name):
@@ -372,10 +388,10 @@ def grad_view(grads, name):
 class TestOptimizer:
     def test_sgd_arithmetic(self):
         params = linear_net([[1.0]], [[1.0]])
-        grads = zero_grads_like(params)
-        grad_view(grads, "encoder[0].weight")[...] = 2.0
+        workspace = zeroed_workspace(params)
+        grad_view(workspace.grads, "encoder[0].weight")[...] = 2.0
         state = make_optimizer("sgd", learning_rate=0.1)
-        params, state = optimizer_step(params, grads, state)
+        params, state = optimizer_step(params, workspace, state)
         assert params.encoder[0].weight[0, 0] == pytest.approx(0.8, abs=0)
 
     def test_zero_gradients_leave_params_unchanged(self):
@@ -383,7 +399,7 @@ class TestOptimizer:
             params = tiny_net(seed=13)
             before = [p.copy() for _, p in iter_param_arrays(params)]
             state = make_optimizer(kind, learning_rate=0.5)
-            params, state = optimizer_step(params, zero_grads_like(params), state)
+            params, state = optimizer_step(params, zeroed_workspace(params), state)
             after = [p for _, p in iter_param_arrays(params)]
             for b, a in zip(before, after):
                 assert np.array_equal(b, a), kind
@@ -391,20 +407,20 @@ class TestOptimizer:
     def test_adam_single_step_hand_formula(self):
         # p=0, g=1: m_hat = 1, v_hat = 1 -> p = -lr / (sqrt(1) + eps)
         params = linear_net([[0.0]], [[0.0]])
-        grads = zero_grads_like(params)
-        grad_view(grads, "encoder[0].weight")[...] = 1.0
+        workspace = zeroed_workspace(params)
+        grad_view(workspace.grads, "encoder[0].weight")[...] = 1.0
         state = make_optimizer("adam", learning_rate=1e-3)
-        params, state = optimizer_step(params, grads, state)
+        params, state = optimizer_step(params, workspace, state)
         expected = -1e-3 / (1.0 + 1e-8)
         assert params.encoder[0].weight[0, 0] == pytest.approx(expected, rel=1e-15)
 
     def test_nonfinite_gradient_names_tensor(self):
         params = tiny_net(seed=13)
-        grads = zero_grads_like(params)
-        grad_view(grads, "decoder[1].bias")[...] = np.nan
+        workspace = zeroed_workspace(params)
+        grad_view(workspace.grads, "decoder[1].bias")[...] = np.nan
         state = make_optimizer("sgd", learning_rate=0.1)
         with pytest.raises(FloatingPointError, match=r"decoder\[1\]\.bias"):
-            optimizer_step(params, grads, state)
+            optimizer_step(params, workspace, state)
 
     def test_small_sgd_step_does_not_increase_convex_loss(self):
         # single linear layer each side: the per-batch objective is convex
@@ -413,9 +429,9 @@ class TestOptimizer:
         batch = rng.standard_normal((6, 4))
         ws = fresh_forward(params, batch)
         before, grad_out = reconstruction_loss(batch, ws.reconstruction)
-        grads = backward(params, ws, grad_out)
+        backward(params, ws, grad_out)
         state = make_optimizer("sgd", learning_rate=1e-4)
-        params, state = optimizer_step(params, grads, state)
+        params, state = optimizer_step(params, ws, state)
         after = reconstruction_loss(batch, fresh_forward(params, batch).reconstruction)[0]
         assert after <= before + 1e-12
 
@@ -498,7 +514,7 @@ class TestFlatOptimizerBits:
             _, grad_out = reconstruction_loss(batch, ws.reconstruction)
             grads = backward(params, ws, grad_out, grad_latent=rng.standard_normal((17, 5)))
             reference_step(ref_params, [g.copy() for _, g in iter_grad_arrays(grads)], state, ref)
-            params, state = optimizer_step(params, grads, state)
+            params, state = optimizer_step(params, ws, state)
         for (name, p), r in zip(iter_param_arrays(params), ref_params):
             assert np.array_equal(p, r), name
         if kind == "adam":
@@ -539,7 +555,7 @@ class TestFlatOptimizerBits:
             state = make_optimizer(kind, learning_rate=1e-2)
             with mock.patch.object(nn, "_BLOCK", size), with_helper(pool) as submits:
                 for g in grads:
-                    nn._update(p, g, state)
+                    step_array(p, g, state)
             assert submits.call_count == (steps if pool and n > size else 0)
             results.append((p, state.m, state.v))
         (p1, m1, v1), *others = results
@@ -604,21 +620,38 @@ class TestFlatLayout:
             assert not np.shares_memory(a, b), name
             assert np.array_equal(a, b), name
 
-    def test_gradients_of_another_architecture_move_nothing(self):
+    @staticmethod
+    def refused_and_nothing_moves(hidden, call):
+        """``call`` on a net with the workspace of a second net, with
+        ``hidden`` layers, raises and moves nothing."""
         params = tiny_net(seed=4, m=4, latent=2, hidden=(3,))
-        other = tiny_net(seed=4, m=4, latent=2, hidden=(3, 3))
+        other = tiny_net(seed=4, m=4, latent=2, hidden=hidden)
         batch = np.random.default_rng(25).standard_normal((3, 4))
         state = make_optimizer("adam", learning_rate=1e-2)
         ws = fresh_forward(params, batch)
-        optimizer_step(params, backward(params, ws, np.ones_like(ws.reconstruction)), state)
-        before = params.flat.copy(), state.m.copy(), state.v.copy(), state.step_count
-        ws = fresh_forward(other, batch)
-        foreign = backward(other, ws, np.ones_like(ws.reconstruction))
-        with pytest.raises(ValueError, match=r"encoder\[1\]\.weight: shape \(3, 2\) vs \(3, 3\)"):
-            optimizer_step(params, foreign, state)
-        assert np.array_equal(params.flat, before[0])
-        assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
-        assert state.step_count == before[3] == 1
+        backward(params, ws, np.ones_like(ws.reconstruction))
+        optimizer_step(params, ws, state)
+        foreign = fresh_forward(other, batch)
+        backward(other, foreign, np.ones_like(foreign.reconstruction))
+        before = [a.copy() for a in (params.flat, state.m, state.v, foreign.arena)]
+        with pytest.raises(ValueError, match=f"^{call} was given the workspace of another net$"):
+            if call == "forward":
+                forward(params, batch, foreign)
+            elif call == "backward":
+                backward(params, foreign, np.ones((3, 4)))
+            else:
+                optimizer_step(params, foreign, state)
+        for a, b in zip((params.flat, state.m, state.v, foreign.arena), before):
+            assert np.array_equal(a, b)
+        assert state.step_count == 1
+
+    def test_gradients_of_another_architecture_move_nothing(self):
+        self.refused_and_nothing_moves((3, 3), "optimizer_step")
+
+    @pytest.mark.parametrize("call", ["forward", "backward", "optimizer_step"])
+    def test_a_workspace_of_another_net_is_refused_and_moves_nothing(self, call):
+        # the second net has the same architecture
+        self.refused_and_nothing_moves((3,), call)
 
 
 class TestWorkspace:
@@ -645,7 +678,7 @@ class TestWorkspace:
             assert value == fresh_value
             assert np.array_equal(workspace.reconstruction, fresh.reconstruction)
             assert np.array_equal(grads.flat, fresh_grads.flat)
-            optimizer_step(params, grads, state)
+            optimizer_step(params, workspace, state)
         assert state.step_count == 3
 
     def test_backward_on_one_workspace_reuses_its_gradient_vector(self):
@@ -664,13 +697,22 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="^rows must be an integer, got "):
             Workspace(tiny_net(), rows)
 
+    @pytest.mark.parametrize("params", [None, "net", [0.0]])
+    def test_a_workspace_needs_a_net(self, params):
+        with pytest.raises(ValueError, match="^params must be an AutoencoderParams, got "):
+            Workspace(params, 3)
+
+    def test_a_workspace_keeps_its_net(self):
+        params = tiny_net()
+        assert Workspace(params, 3).params is params
+
     def test_workspace_of_another_net_or_too_few_rows_rejected(self):
         params = tiny_net(seed=4)
         other = tiny_net(seed=4, m=4, latent=2, hidden=(5,))
         batch = np.zeros((3, 4))
         with pytest.raises(ValueError, match="forward requires a Workspace, got NoneType"):
             forward(params, batch, None)
-        with pytest.raises(ValueError, match="another architecture"):
+        with pytest.raises(ValueError, match="another net"):
             forward(params, batch, Workspace(other, 3))
         with pytest.raises(ValueError, match="2 rows cannot hold a 3-row batch"):
             forward(params, batch, Workspace(params, 2))
@@ -717,8 +759,8 @@ class TestWorkspace:
         workspace = Workspace(params, 256)
 
         def step():
-            out = combined_objective(batch, params, centroids, config, workspace)
-            optimizer_step(params, out.param_grads, state)
+            combined_objective(batch, params, centroids, config, workspace)
+            optimizer_step(params, workspace, state)
 
         with workspace:
             step()  # warm-up: Adam's moments and first-call imports
@@ -751,11 +793,11 @@ class TestWorkspace:
         with Workspace(params, 64) as workspace:
             forward(params, batch, workspace)
             _, grad_out = reconstruction_loss(batch, workspace.reconstruction, workspace.residual)
-            grads = backward(params, workspace, grad_out)
-            optimizer_step(params, grads, state)  # warm-up: Adam's moments
+            backward(params, workspace, grad_out)
+            optimizer_step(params, workspace, state)  # warm-up: Adam's moments
             tracemalloc.start()
             try:
-                optimizer_step(params, grads, state)
+                optimizer_step(params, workspace, state)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -811,21 +853,21 @@ class TestOptimizerInputs:
         state = make_optimizer("adam", learning_rate=0.1)
         state.m, state.v = np.zeros(1), np.zeros(1)
         with pytest.raises(ValueError, match="moments"):
-            optimizer_step(params, zero_grads_like(params), state)
+            optimizer_step(params, zeroed_workspace(params), state)
         assert np.array_equal(params.flat, before)
         assert state.step_count == 0
 
     def test_non_finite_last_gradient_moves_no_parameter(self):
         params = tiny_net(seed=13)
         before = params.flat.copy()
-        grads = zero_grads_like(params)
-        for name, g in iter_grad_arrays(grads):
+        workspace = zeroed_workspace(params)
+        for name, g in iter_grad_arrays(workspace.grads):
             if name.endswith(".weight"):
                 g[...] = 1.0
-        grad_view(grads, "decoder[1].bias")[...] = [1.0, np.inf, 1.0, 1.0]
+        grad_view(workspace.grads, "decoder[1].bias")[...] = [1.0, np.inf, 1.0, 1.0]
         state = make_optimizer("adam", learning_rate=0.1)
         with pytest.raises(FloatingPointError, match=r"decoder\[1\]\.bias"):
-            optimizer_step(params, grads, state)
+            optimizer_step(params, workspace, state)
         assert np.array_equal(params.flat, before)
         assert state.step_count == 0 and state.m is None
 
@@ -834,23 +876,24 @@ class TestOptimizerInputs:
         # blocks of 5: every block is checked before the first is updated
         params = tiny_net(seed=13)
         before = params.flat.copy()
-        grads = Gradients(params.layout, np.ones_like(params.flat))
-        grads.flat[bad] = np.nan
-        name = next(name for name, g in iter_grad_arrays(grads) if np.isnan(g).any())
+        workspace = Workspace(params, 0)
+        workspace.grads.flat[...] = 1.0
+        workspace.grads.flat[bad] = np.nan
+        name = next(name for name, g in iter_grad_arrays(workspace.grads) if np.isnan(g).any())
         name = re.escape(name)
         state = make_optimizer("adam", learning_rate=0.1)
         with mock.patch.object(nn, "_BLOCK", 5):
             with pytest.raises(FloatingPointError, match=f"^non-finite gradient in {name}$"):
-                optimizer_step(params, grads, state)
+                optimizer_step(params, workspace, state)
         assert np.array_equal(params.flat, before)
         assert state.step_count == 0 and state.m is None
 
     def test_huge_finite_gradients_still_step(self):
         params = tiny_net(seed=13)
-        grads = zero_grads_like(params)
-        grad_view(grads, "encoder[0].weight")[...] = 1e308
+        workspace = zeroed_workspace(params)
+        grad_view(workspace.grads, "encoder[0].weight")[...] = 1e308
         state = make_optimizer("sgd", learning_rate=1e-310)
-        optimizer_step(params, grads, state)
+        optimizer_step(params, workspace, state)
         assert np.isfinite(params.flat).all()
 
     def test_array_step_checks_its_inputs(self):
@@ -951,7 +994,8 @@ class TestHelperThread:
                 for batch in batches:
                     forward(params, batch, workspace)
                     _, grad_out = reconstruction_loss(batch, workspace.reconstruction)
-                    optimizer_step(params, backward(params, workspace, grad_out), state)
+                    backward(params, workspace, grad_out)
+                    optimizer_step(params, workspace, state)
             assert submits.call_count == (len(batches) * (HELPER_LAYERS + 1) if pool else 0)
             results.append((params.flat, state.m, state.v))
         (p1, m1, v1), (p2, m2, v2) = results
@@ -967,7 +1011,7 @@ class TestHelperThread:
             g[-1] = 1e200
             with with_helper(pool), slowed_blocks() as ran:
                 with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-                    nn._update(p, g, make_optimizer("adam", learning_rate=1e-3))
+                    step_array(p, g, make_optimizer("adam", learning_rate=1e-3))
             assert (3, pool is not None) in ran
 
     @pytest.mark.parametrize("raiser", ["caller", "helper"])
@@ -1047,7 +1091,8 @@ class TestHelperThread:
                 for batch in batches:
                     forward(params, batch, workspace)
                     _, grad_out = reconstruction_loss(batch, workspace.reconstruction)
-                    optimizer_step(params, backward(params, workspace, grad_out), state)
+                    backward(params, workspace, grad_out)
+                    optimizer_step(params, workspace, state)
             out[seed] = params.flat
 
         want, got = {}, {}
@@ -1095,15 +1140,15 @@ class TestHelperThread:
         before = params.flat.copy()
         with ThreadPoolExecutor(1) as pool, with_helper(pool) as submits:
             with Workspace(params, 256) as workspace:
-                out = combined_objective(batch, params, rng.standard_normal((4, 5)),
-                                         LossConfig("ct", lam=1.0, alpha=3.0), workspace)
-                optimizer_step(params, out.param_grads, state)
+                combined_objective(batch, params, rng.standard_normal((4, 5)),
+                                   LossConfig("ct", lam=1.0, alpha=3.0), workspace)
+                optimizer_step(params, workspace, state)
                 assert not np.array_equal(params.flat, before)  # applied, not deferred
-                assert workspace._slot.step is None and params._pending == [None]
+                assert params._pending == [None]
                 # the one layout: three backprop buffers, and two scratch
                 # blocks per thread of the net's size, one block at most
                 assert len(workspace.backprop) == 3
-                assert workspace._slot.scratch.shape == (2, 2, params.flat.size)
+                assert workspace.scratch.shape == (2, 2, params.flat.size)
                 assert workspace.mask.size >= params.flat.size
             assert threading.active_count() == threads
         assert submits.call_count == 0
@@ -1124,8 +1169,8 @@ class TestHelperThread:
             workspace = nn.Workspace(params, 256)
 
             def step():
-                out = combined_objective(batch, params, None, None, workspace)
-                nn.optimizer_step(params, out.param_grads, state)
+                combined_objective(batch, params, None, None, workspace)
+                nn.optimizer_step(params, workspace, state)
 
             with workspace:
                 step()
@@ -1173,7 +1218,8 @@ class TestDeferredUpdate:
     def step(params, batch, workspace, state):
         forward(params, batch, workspace)
         _, grad_out = reconstruction_loss(batch, workspace.reconstruction)
-        return optimizer_step(params, backward(params, workspace, grad_out), state)
+        backward(params, workspace, grad_out)
+        return optimizer_step(params, workspace, state)
 
     @staticmethod
     def eager_twin(batches, steps, kind="adam"):
@@ -1197,7 +1243,7 @@ class TestDeferredUpdate:
                 # checked and counted, not yet applied
                 assert np.array_equal(params.flat, before)
                 assert state.step_count == steps + 1
-                assert params._pending[0] is workspace._slot.step is not None
+                assert params._pending[0] is not None
                 if steps < 2:
                     forward(params, batches[steps + 1], workspace)
                     want, _ = self.eager_twin(batches, steps + 1, kind)
@@ -1207,7 +1253,23 @@ class TestDeferredUpdate:
         assert np.array_equal(params.flat, want.flat)
         if kind == "adam":
             assert np.array_equal(state.m, want_state.m) and np.array_equal(state.v, want_state.v)
-        assert workspace._slot.step is None
+        assert params._pending == [None]
+
+    def test_leaving_a_block_applies_the_update_pending_on_its_net(self, helper_pool):
+        # the update is deferred from the outer workspace's gradients; the
+        # inner one, on the same net, applies it when its block ends
+        batch = np.random.default_rng(41).standard_normal((32, 200))
+        want, want_state = self.eager_twin(batch[None], 1)
+        params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
+        with with_helper(helper_pool), Workspace(params, 32) as outer:
+            with Workspace(params, 32):
+                self.step(params, batch, outer, state)
+                before = params.flat.copy()
+                assert params._pending[0] is not None
+            assert params._pending == [None]
+            assert not np.array_equal(params.flat, before)
+            assert np.array_equal(params.flat, want.flat)
+            assert np.array_equal(state.m, want_state.m) and np.array_equal(state.v, want_state.v)
 
     @pytest.mark.parametrize("reader", ["encode", "encode_blocks", "copy", "backward",
                                         "optimizer_step"])
@@ -1225,9 +1287,10 @@ class TestDeferredUpdate:
             other_grads = backward(params, other, other_grad)
             forward(params, batch, workspace)
             _, grad_out = reconstruction_loss(batch, workspace.reconstruction)
-            optimizer_step(params, backward(params, workspace, grad_out), state)
+            backward(params, workspace, grad_out)
+            optimizer_step(params, workspace, state)
             first = params._pending[0]
-            assert first is workspace._slot.step is not None
+            assert first is not None
             if reader == "encode":
                 got, expected = encode(params, batch), encode(want, batch)
             elif reader == "encode_blocks":
@@ -1245,12 +1308,13 @@ class TestDeferredUpdate:
                     expected = backward(want, twin, grad_out).flat
             else:
                 # a step on the other workspace's gradients applies the
-                # first, pending in this one, then defers in its own
-                optimizer_step(params, other_grads, state)
-                assert params._pending[0] is other._slot.step not in (None, first)
+                # first, then defers its own
+                optimizer_step(params, other, state)
+                assert params._pending[0] not in (None, first)
+                twin = Workspace(want, 0)
+                twin.grads.flat[...] = other_grads.flat
                 with with_helper(None):
-                    optimizer_step(want, Gradients(want.layout, other_grads.flat.copy()),
-                                   want_state)
+                    optimizer_step(want, twin, want_state)
             if reader != "optimizer_step":
                 assert params._pending == [None]
         if got is not None:
@@ -1273,8 +1337,8 @@ class TestDeferredUpdate:
             name = "encoder[0].weight" if where == "first" else "decoder[2].bias"
             before = params.flat.copy(), state.m.copy(), state.v.copy()
             with pytest.raises(FloatingPointError, match=re.escape(f"gradient in {name}")):
-                optimizer_step(params, grads, state)
-            assert params._pending == [None] and workspace._slot.step is None
+                optimizer_step(params, workspace, state)
+            assert params._pending == [None]
             forward(params, batches[1], workspace)
         assert np.array_equal(params.flat, before[0])
         assert np.array_equal(state.m, before[1]) and np.array_equal(state.v, before[2])
@@ -1301,7 +1365,7 @@ class TestDeferredUpdate:
             for a, b in zip((params.flat, state.m, state.v, workspace.arena), snapshot):
                 assert np.array_equal(a, b)
             # nothing is left pending for the end of the block to apply
-            assert params._pending == [None] and workspace._slot.step is None
+            assert params._pending == [None]
 
     def test_overflow_follows_the_errstate_of_the_caller_that_applies(self, helper_pool):
         params, state = helper_net(), make_optimizer("adam", learning_rate=1e-2)
@@ -1312,7 +1376,7 @@ class TestDeferredUpdate:
                 workspace.grads.flat[...] = 0.0
                 workspace.grads.flat[-1] = 1e200  # g*g overflows in the last block
                 with np.errstate(over=step_state):
-                    optimizer_step(params, workspace.grads, state)
+                    optimizer_step(params, workspace, state)
                 assert params._pending[0] is not None
                 # the caller's blocks are slowed: the helper claims the last
                 with np.errstate(over=apply_state), slowed_blocks() as ran:
