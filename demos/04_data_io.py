@@ -21,7 +21,8 @@ print(f"working in {workdir} (removed on exit)\n")
 # --- IDX: the classic big-endian image format ---------------------------
 rng = np.random.default_rng(0)
 digits = Dataset(rng.uniform(0, 1, size=(12, 16)), labels=rng.integers(0, 10, size=12))
-save_idx(digits, workdir / "demo-images.idx", workdir / "demo-labels.idx")  # 4x4 inferred
+# 16 features per row: written as square 4x4 images
+save_idx(digits, workdir / "demo-images.idx", workdir / "demo-labels.idx")
 
 back = load_idx(workdir / "demo-images.idx", workdir / "demo-labels.idx")
 print(f"IDX round trip: {back.n} images, {back.m} pixels each, in [0,1]")

@@ -29,7 +29,7 @@ from .losses import (
     dkm_loss,
     dkm_weights,
 )
-from .metrics import MetricsReport, accuracy, evaluate, hungarian, nmi
+from .metrics import MetricsReport, evaluate, hungarian
 from .nn import (
     AutoencoderParams,
     LayerSpec,
@@ -51,7 +51,7 @@ __all__ = [
     "METHODS", "RunReport", "SuiteResult", "TrainConfig", "run_method", "run_suite",
     "CombinedResult", "LossConfig", "combined_objective", "ct_loss", "ct_weights",
     "dcn_penalty", "dkm_loss", "dkm_weights",
-    "MetricsReport", "accuracy", "evaluate", "hungarian", "nmi",
+    "MetricsReport", "evaluate", "hungarian",
     "AutoencoderParams", "LayerSpec", "Workspace", "backward", "encode", "forward",
     "init_autoencoder", "make_optimizer", "mirrored_spec", "optimizer_step",
     "__version__",

@@ -57,6 +57,19 @@ def _parse_kv(body: str, what: str) -> dict[str, str]:
     return out
 
 
+def _convert(kind: str, key: str, raw: str | None, convert):
+    """``raw``, the value of option ``key`` of a ``kind`` source, through
+    ``convert`` (int or float); None stays None. A value that does not
+    convert is an error naming the source and the option."""
+    if raw is None:
+        return None
+    try:
+        return convert(raw)
+    except ValueError:
+        what = "an integer" if convert is int else "a real number"
+        raise ValueError(f"{kind} option {key} must be {what}, got {raw!r}") from None
+
+
 _DELIMS = {"comma": ",", "tab": "\t", "semicolon": ";", "space": " "}
 
 
@@ -70,6 +83,9 @@ def parse_dataset_spec(spec: str) -> Dataset:
       csv:path=PATH[,delimiter=comma|tab|semicolon|space][,label=COL]
           [,skip=N][,minmax=true]
       csv:PATH
+
+    A value that does not convert is a ValueError naming the source and
+    the option.
     """
     kind, _, body = spec.partition(":")
     kind = kind.strip().lower()
@@ -79,12 +95,12 @@ def parse_dataset_spec(spec: str) -> Dataset:
         if set(opts) - known:
             raise ValueError(f"unknown blobs option(s): {sorted(set(opts) - known)}")
         return make_blobs(
-            n_per_cluster=int(opts.get("n", 500)),
-            k=int(opts.get("k", 4)),
-            dim=int(opts.get("dim", 50)),
-            separation=float(opts.get("sep", 8.0)),
-            noise_sigma=float(opts.get("noise", 1.0)),
-            seed=int(opts.get("seed", 0)),
+            n_per_cluster=_convert(kind, "n", opts.get("n", "500"), int),
+            k=_convert(kind, "k", opts.get("k", "4"), int),
+            dim=_convert(kind, "dim", opts.get("dim", "50"), int),
+            separation=_convert(kind, "sep", opts.get("sep", "8.0"), float),
+            noise_sigma=_convert(kind, "noise", opts.get("noise", "1.0"), float),
+            seed=_convert(kind, "seed", opts.get("seed", "0"), int),
         )
     if kind == "idx":
         if not body:
@@ -95,13 +111,13 @@ def parse_dataset_spec(spec: str) -> Dataset:
         while f"images{suffix}" in opts:
             parts.append(load_idx(opts.pop(f"images{suffix}"), opts.pop(f"labels{suffix}", None)))
             suffix = str(len(parts) + 1)
-        take = opts.pop("take", None)
+        take = _convert(kind, "take", opts.pop("take", None), int)
         if opts:
             raise ValueError(f"unknown idx option(s): {sorted(opts)}")
         if not parts:
             raise ValueError("idx source needs at least images=PATH")
         dataset = parts[0] if len(parts) == 1 else concat_datasets(parts, name="idx")
-        return dataset.take(int(take)) if take is not None else dataset
+        return dataset.take(take) if take is not None else dataset
     if kind == "csv":
         if not body:
             raise ValueError("csv source needs a path")
@@ -117,8 +133,8 @@ def parse_dataset_spec(spec: str) -> Dataset:
         return load_delimited(
             opts["path"],
             delimiter=_DELIMS[delim],
-            label_column=int(opts["label"]) if "label" in opts else None,
-            skip_header=int(opts.get("skip", 0)),
+            label_column=_convert(kind, "label", opts.get("label"), int),
+            skip_header=_convert(kind, "skip", opts.get("skip", "0"), int),
             minmax_scale=opts.get("minmax", "false").lower() in ("true", "1", "yes"),
         )
     raise ValueError(f"unknown dataset source {kind!r}; use blobs:, idx: or csv:")
@@ -447,8 +463,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "project":
             coords = project_2d(report.latents)
             out = resolve_out_dir(args.out)
-            paths = [out / f"{report.method}_seed{report.seed}_projection.tsv"]
-            write_projection(paths[0], coords, report.assignment, dataset.labels)
+            paths.append(out / f"{report.method}_seed{report.seed}_projection.tsv")
+            write_projection(paths[-1], coords, report.assignment, dataset.labels)
         _print_run_line(report)
         print(f"wrote {', '.join(str(p) for p in paths)}")
         return 0

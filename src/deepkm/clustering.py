@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import _integer, _real
+from .nn import _integer, _real, _seed
 
 _BLOCK_ELEMS = 2**24  # ~128 MiB of float64 scratch per distance block
 _EPS = np.finfo(np.float64).eps
@@ -43,6 +43,11 @@ def _check_points(points: np.ndarray, what: str = "points") -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValueError(f"{what} contains non-finite values")
     return points
+
+
+def _check_seed(seed) -> int | np.random.Generator:
+    """A Generator as given, else ``seed`` as an integer >= 0."""
+    return seed if isinstance(seed, np.random.Generator) else _seed(seed)
 
 
 def _check_k(k, n: int) -> int:
@@ -125,8 +130,8 @@ def kmeans_plus_plus_init(
 ) -> np.ndarray:
     """Seed K centers: first uniform, the rest D^2-weighted on squared
     distance to the nearest already-chosen center. ``seed`` may be an
-    int or an existing Generator."""
-    rng = np.random.default_rng(seed)
+    integer >= 0 or an existing Generator."""
+    rng = np.random.default_rng(_check_seed(seed))
     points = _check_points(points)
     n = points.shape[0]
     k = _check_k(k, n)
@@ -149,33 +154,35 @@ def kmeans_plus_plus_init(
 
 def _assign_repaired(
     points: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nearest-center labels with every empty cluster given the point
     farthest from its current center.
 
-    Returns (labels, centers, counts per cluster). Clusters are repaired
-    in ascending index order; among equally far points the lowest index
-    wins. A point alone in its cluster is never taken, so no repair
-    empties another cluster, and donor points are removed from the pool
-    so two empty clusters never grab the same point.
+    Returns (labels, centers, counts per cluster, objective), where the
+    objective is the sum of squared distances from each point to its
+    center after the repair. Clusters are repaired in ascending index
+    order; among equally far points the lowest index wins. A point alone
+    in its cluster is never taken, so no repair empties another cluster,
+    and donor points are removed from the pool so two empty clusters
+    never grab the same point.
     """
     k = centers.shape[0]
     labels = _nearest(points, centers)
     counts = np.bincount(labels, minlength=k)
-    if counts.all():
-        return labels, centers, counts
-    d2 = squared_distances(points, centers)
-    own_d2 = d2[np.arange(points.shape[0]), labels]
-    centers = centers.copy()
-    for cluster in np.flatnonzero(counts == 0):
-        # first max = lowest index on ties
-        donor = int(np.argmax(np.where(counts[labels] > 1, own_d2, -np.inf)))
-        counts[labels[donor]] -= 1
-        counts[cluster] += 1
-        centers[cluster] = points[donor]
-        labels[donor] = cluster
-        own_d2[donor] = -np.inf
-    return labels, centers, counts
+    if not counts.all():
+        d2 = squared_distances(points, centers)
+        own_d2 = d2[np.arange(points.shape[0]), labels]
+        centers = centers.copy()
+        for cluster in np.flatnonzero(counts == 0):
+            # first max = lowest index on ties
+            donor = int(np.argmax(np.where(counts[labels] > 1, own_d2, -np.inf)))
+            counts[labels[donor]] -= 1
+            counts[cluster] += 1
+            centers[cluster] = points[donor]
+            labels[donor] = cluster
+            own_d2[donor] = -np.inf
+    diff = points - centers[labels]
+    return labels, centers, counts, float(np.einsum("nd,nd->", diff, diff))
 
 
 def lloyd_step(
@@ -196,9 +203,7 @@ def lloyd_step(
             f"need no more centers than points, got {centers.shape[0]} centers "
             f"for {points.shape[0]} points"
         )
-    labels, centers, counts = _assign_repaired(points, centers)
-    diff = points - centers[labels]
-    objective = float(np.einsum("nd,nd->", diff, diff))
+    labels, centers, counts, objective = _assign_repaired(points, centers)
     # bincount adds each cluster's rows in index order, from 0.0, so the
     # sums are the bits that np.add.at gives.
     sums = np.stack(
@@ -215,31 +220,24 @@ def kmeans(
     seed: int | np.random.Generator,
     max_iters: int = 100,
     tol: float = 1e-6,
-    init_centers: np.ndarray | None = None,
 ) -> KMeansResult:
-    """Full K-means: k-means++ seeding (unless centers are given) then
-    Lloyd iterations until the largest center shift drops below ``tol``.
+    """Full K-means: k-means++ seeding then Lloyd iterations until the
+    largest center shift drops below ``tol``.
 
     The returned labels and objective are consistent with the returned
     centers: both are recomputed after the final update. ``k`` must be an
-    integer in [1, n_points], ``max_iters`` an integer >= 0 and ``tol`` a
-    real >= 0; each is checked before any work.
+    integer in [1, n_points], ``seed`` an integer >= 0 or a Generator,
+    ``max_iters`` an integer >= 0 and ``tol`` a real >= 0; each is
+    checked before any work.
     """
     points = _check_points(points)
     k = _check_k(k, points.shape[0])
+    seed = _check_seed(seed)
     max_iters = _integer("max_iters", max_iters)
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     tol = _real("tol", tol, at_least=0)
-    if init_centers is not None:
-        centers = _check_points(init_centers, "init_centers").copy()
-        if centers.shape != (k, points.shape[1]):
-            raise ValueError(
-                f"init_centers shape {centers.shape} does not match "
-                f"(k={k}, dim={points.shape[1]})"
-            )
-    else:
-        centers = kmeans_plus_plus_init(points, k, seed)
+    centers = kmeans_plus_plus_init(points, k, seed)
     converged = False
     iterations = 0
     for _ in range(max_iters):
@@ -250,9 +248,7 @@ def kmeans(
         if shift < tol:
             converged = True
             break
-    labels, centers, _ = _assign_repaired(points, centers)
-    diff = points - centers[labels]
-    objective = float(np.einsum("nd,nd->", diff, diff))
+    labels, centers, _, objective = _assign_repaired(points, centers)
     return KMeansResult(
         centers=centers,
         labels=labels,

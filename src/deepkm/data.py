@@ -8,12 +8,13 @@ unless min-max scaling is requested. Loaders preserve file order.
 from __future__ import annotations
 
 import gzip
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import _integer, _real
+from .nn import _integer, _real, _seed
 
 IDX_IMAGES_MAGIC = 0x00000803  # unsigned byte, rank 3
 IDX_LABELS_MAGIC = 0x00000801  # unsigned byte, rank 1
@@ -63,7 +64,11 @@ class Dataset:
                 f"features must be a non-empty 2-d array, got shape {self.features.shape}"
             )
         if not np.isfinite(self.features).all():
-            raise ValueError("features contain non-finite values")
+            row, col = np.argwhere(~np.isfinite(self.features))[0]
+            raise ValueError(
+                f"features contain non-finite values: row {row}, column {col} "
+                f"is {self.features[row, col]}"
+            )
         if self.labels is not None:
             self.labels = integer_labels(self.labels)
             if self.labels.shape != (self.features.shape[0],):
@@ -82,15 +87,15 @@ class Dataset:
     def m(self) -> int:
         return self.features.shape[1]
 
-    def take(self, n: int, name: str | None = None) -> "Dataset":
-        """First n samples, preserving order."""
+    def take(self, n: int) -> "Dataset":
+        """First n samples, preserving order, named ``<name>[:n]``."""
         n = _integer("n", n)
         if not 1 <= n <= self.n:
             raise ValueError(f"take(n) needs 1 <= n <= {self.n}, got {n}")
         return Dataset(
             features=self.features[:n].copy(),
             labels=None if self.labels is None else self.labels[:n].copy(),
-            name=name if name is not None else f"{self.name}[:{n}]",
+            name=f"{self.name}[:{n}]",
         )
 
 
@@ -114,7 +119,7 @@ def _parse_idx(raw: bytes, path: str, magic: int, rank: int) -> np.ndarray:
             f"{path}: truncated header, need {rank} dimension words ending at offset {header_end}"
         )
     dims = [int.from_bytes(raw[4 + 4 * i : 8 + 4 * i], "big") for i in range(rank)]
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(raw) < header_end + count:
         raise IdxFormatError(
             f"{path}: truncated data, expected {count} bytes at offset {header_end}, "
@@ -147,25 +152,18 @@ def load_idx(images_path: str, labels_path: str | None = None) -> Dataset:
     return Dataset(features=features, labels=labels, name=str(images_path))
 
 
-def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
-             height: int | None = None, width: int | None = None) -> None:
-    """Write a Dataset as an IDX pair, quantizing features back to bytes.
+def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None) -> None:
+    """Write a Dataset as an IDX pair of square images, quantizing
+    features back to bytes.
 
-    Features are assumed to lie in [0,1] (they are clipped); reloading
-    reproduces them to within 1/255. Feature count must factor as
-    height*width; square images are inferred when possible.
+    The feature count must be a square, side*side; each row is written
+    as one side x side image. Features are assumed to lie in [0,1] (they
+    are clipped); reloading reproduces them to within 1/255.
     """
     n, m = dataset.features.shape
-    if height is None or width is None:
-        side = int(round(np.sqrt(m)))
-        if side * side != m:
-            raise ValueError(f"feature dim {m} is not square; pass height and width")
-        height = width = side
-    height, width = _integer("height", height), _integer("width", width)
-    if height < 1 or width < 1:
-        raise ValueError(f"height and width must be >= 1, got {height} and {width}")
-    if height * width != m:
-        raise ValueError(f"height*width = {height * width} does not match feature dim {m}")
+    side = math.isqrt(m)
+    if side * side != m:
+        raise ValueError(f"feature dim {m} is not square")
     if labels_path is not None:
         if dataset.labels is None:
             raise ValueError("dataset has no labels to write")
@@ -178,7 +176,7 @@ def save_idx(dataset: Dataset, images_path: str, labels_path: str | None = None,
     pixels = np.clip(np.rint(dataset.features * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as fh:
         fh.write(IDX_IMAGES_MAGIC.to_bytes(4, "big"))
-        for d in (n, height, width):
+        for d in (n, side, side):
             fh.write(int(d).to_bytes(4, "big"))
         fh.write(pixels.tobytes())
     if labels_path is not None:
@@ -343,11 +341,9 @@ def make_blobs(
     n_per_cluster = _integer("n_per_cluster", n_per_cluster)
     k, dim = _integer("k", k), _integer("dim", dim)
     separation, noise_sigma = _real("separation", separation), _real("noise_sigma", noise_sigma)
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     if n_per_cluster < 1 or k < 1 or dim < 1:
         raise ValueError("n_per_cluster, k and dim must be positive")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     if separation <= 0 or noise_sigma < 0:
         raise ValueError("separation must be positive and noise_sigma non-negative")
     rng = np.random.default_rng(seed)

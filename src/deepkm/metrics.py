@@ -1,8 +1,10 @@
 """Clustering quality scores: accuracy under optimal label matching, NMI.
 
-Cluster ids carry no meaning, so accuracy maximizes agreement over
-one-to-one mappings between predicted clusters and true labels, solved
-as a min-cost assignment on the negated contingency table. NMI is
+``evaluate`` is the one scoring entry: it validates the labels once,
+builds one contingency table and reads both scores from it. Cluster ids
+carry no meaning, so accuracy maximizes agreement over one-to-one
+mappings between predicted clusters and true labels, solved as a
+min-cost assignment on the negated contingency table. NMI is
 2*I(C;Y) / (H(C)+H(Y)) with natural-log entropies; 0/0 is defined as 0.
 
 The assignment is the shortest-augmenting-path algorithm of Crouse ("On
@@ -137,17 +139,14 @@ def _shortest_augmenting_path(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def accuracy(pred, truth) -> tuple[float, dict[int, int]]:
-    """Best-mapping agreement fraction, plus the mapping that achieves it.
-
-    The contingency table is padded to square so the matching stays
-    one-to-one when cluster and label counts differ; padded rows or
-    columns contribute nothing.
-    """
-    return _accuracy(contingency_table(pred, truth))
-
-
 def _accuracy(counts: np.ndarray) -> tuple[float, dict[int, int]]:
+    """Best-mapping agreement fraction of a contingency table, plus the
+    mapping that achieves it.
+
+    The table is padded to square so the matching stays one-to-one when
+    cluster and label counts differ; padded rows or columns contribute
+    nothing.
+    """
     side = max(counts.shape)
     padded = np.zeros((side, side), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
@@ -163,12 +162,9 @@ def _entropy(counts: np.ndarray, n: int) -> float:
     return float(np.log(n) - (c * np.log(c)).sum() / n)
 
 
-def nmi(pred, truth) -> float:
-    """2*I(C;Y) / (H(C)+H(Y)), clipped to [0,1]; 0 when both are constant."""
-    return _nmi(contingency_table(pred, truth))
-
-
 def _nmi(counts: np.ndarray) -> float:
+    """2*I(C;Y) / (H(C)+H(Y)) of a contingency table, clipped to [0,1];
+    0 when both labelings are constant."""
     n = int(counts.sum())
     h_pred = _entropy(counts.sum(axis=1), n)
     h_truth = _entropy(counts.sum(axis=0), n)
@@ -181,7 +177,8 @@ def _nmi(counts: np.ndarray) -> float:
 
 
 def evaluate(pred, truth) -> MetricsReport:
-    """Accuracy, its mapping and NMI, from one validation and one table."""
+    """Accuracy, its mapping and NMI of predicted clusters against true
+    labels, from one validation and one table."""
     counts = contingency_table(pred, truth)
     acc, mapping = _accuracy(counts)
     return MetricsReport(acc=acc, nmi=_nmi(counts), mapping=mapping)

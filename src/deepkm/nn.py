@@ -190,6 +190,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as a seed: an integer >= 0."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _real(name: str, value, at_least: float | None = None) -> float:
     """``value`` as a real number: a Python int or float as given, a numpy
     one as a float. A bool or any other value is an error, and so is one
@@ -376,9 +384,7 @@ def init_autoencoder(
     The decoder must map the encoder's latent dim back to its input dim.
     Each layer's draw is written into its view of the new net's ``flat``.
     """
-    seed = _integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _seed(seed)
     params = AutoencoderParams(encoder_spec, decoder_spec)
     rng = np.random.default_rng(seed)
     for layer in params.encoder + params.decoder:

@@ -27,7 +27,7 @@ from deepkm.losses import (
     dkm_weights,
     reconstruction_loss,
 )
-from deepkm.metrics import accuracy, hungarian, nmi
+from deepkm.metrics import evaluate, hungarian
 from deepkm.nn import iter_grad_arrays, iter_param_arrays
 from helpers import (
     best_bipartition_objective,
@@ -174,9 +174,9 @@ def test_criterion_2_oracle_equivalence():
         n = int(rng.integers(4, 30))
         pred = rng.integers(0, 4, size=n)
         truth = rng.integers(0, 4, size=n)
-        acc, _ = accuracy(pred, truth)
-        assert abs(acc - brute_force_accuracy(pred, truth)) <= 1e-12
-        assert abs(nmi(pred, truth) - nmi_direct(pred, truth)) <= 1e-12
+        report = evaluate(pred, truth)
+        assert abs(report.acc - brute_force_accuracy(pred, truth)) <= 1e-12
+        assert abs(report.nmi - nmi_direct(pred, truth)) <= 1e-12
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, f"criterion 2 runtime {elapsed:.1f}s exceeds 2 min"
@@ -325,7 +325,7 @@ def mnist_runs():
     if found is None:
         pytest.skip(MNIST_SKIP)
     images, labels = found
-    data = load_idx(images, labels).take(10000, name="mnist10k")
+    data = load_idx(images, labels).take(10000)
     base = dict(
         k=10, pretrain_epochs=20, finetune_epochs=30, batch_size=256,
         lam=10.0, alpha=3.0, latent_dim=10, hidden_dims=(500, 500, 2000),

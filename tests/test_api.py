@@ -27,7 +27,7 @@ def test_public_names_are_pinned():
         "METHODS", "RunReport", "SuiteResult", "TrainConfig", "run_method", "run_suite",
         "CombinedResult", "LossConfig", "combined_objective", "ct_loss", "ct_weights",
         "dcn_penalty", "dkm_loss", "dkm_weights",
-        "MetricsReport", "accuracy", "evaluate", "hungarian", "nmi",
+        "MetricsReport", "evaluate", "hungarian",
         "AutoencoderParams", "LayerSpec", "Workspace", "backward", "encode", "forward",
         "init_autoencoder", "make_optimizer", "mirrored_spec", "optimizer_step",
         "__version__",

@@ -20,7 +20,7 @@ from deepkm.cli import (
 )
 from deepkm.data import Dataset, make_blobs
 from deepkm.harness import TrainConfig, run_method, run_suite
-from deepkm.metrics import accuracy
+from deepkm.metrics import evaluate
 from helpers import idx_images_bytes, idx_labels_bytes
 
 FAST = [
@@ -366,8 +366,7 @@ class TestMainEndToEnd:
                      "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "metrics.json").read_text())
-        expect, _ = accuracy([0, 0, 1, 1], [1, 1, 0, 0])
-        assert payload["acc"] == expect
+        assert payload["acc"] == evaluate([0, 0, 1, 1], [1, 1, 0, 0]).acc
         assert payload["n"] == 4
 
     def test_eval_bad_label_file_fails_cleanly(self, tmp_path, capsys):
@@ -399,6 +398,11 @@ class TestMainEndToEnd:
         lines = (tmp_path / "km_seed0_projection.tsv").read_text().splitlines()
         assert lines[0] == "x\ty\tpred\ttruth"
         assert len(lines) == 21
+        written = [tmp_path / f"km_seed0{tail}"
+                   for tail in (".json", "_losses.tsv", "_projection.tsv")]
+        assert sorted(tmp_path.iterdir()) == sorted(written)
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"wrote {', '.join(str(p) for p in written)}")
 
     @pytest.mark.parametrize("dataset, flags, message", [
         ("blobs:n=20,k=2,dim=4", ["--latent-dim", "1"],
@@ -427,6 +431,22 @@ class TestMainEndToEnd:
         assert capsys.readouterr().err == (
             f"error: suite aggregation requires ground-truth labels; "
             f"dataset {str(table)!r} has none\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("blobs:n=abc", "blobs option n must be an integer, got 'abc'"),
+        ("blobs:n=5,sep=far", "blobs option sep must be a real number, got 'far'"),
+        ("csv:path=x,label=a", "csv option label must be an integer, got 'a'"),
+        ("csv:path=x,skip=1.5", "csv option skip must be an integer, got '1.5'"),
+        ("idx:images={idx},take=2.5", "idx option take must be an integer, got '2.5'"),
+    ], ids=["blobs_int", "blobs_real", "csv_label", "csv_skip", "idx_take"])
+    def test_unconvertible_dataset_option_is_named(self, tmp_path, capsys, spec, message):
+        idx = tmp_path / "img.idx"
+        idx.write_bytes(idx_images_bytes(np.zeros((4, 2, 2), dtype=np.uint8)))
+        out = tmp_path / "out"
+        code = main(["run", "--dataset", spec.format(idx=idx), "--out", str(out), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):

@@ -58,6 +58,11 @@ def ref_kmeans(points, k, seed, max_iters=100, tol=1e-6):
     return centers, labels, objective, iterations
 
 
+def start_kmeans_at(monkeypatch, centers):
+    """Make ``kmeans`` start from ``centers`` instead of k-means++."""
+    monkeypatch.setattr(clustering, "kmeans_plus_plus_init", lambda points, k, seed: centers.copy())
+
+
 def assert_same_step(points, centers):
     got = lloyd_step(points, centers)
     want = ref_lloyd_step(points, centers)
@@ -194,6 +199,15 @@ class TestPlusPlusInit:
         centers = kmeans_plus_plus_init(points, 3, np.random.default_rng(0))
         assert centers.shape == (3, 2)
 
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=["bool", "float", "negative"])
+    def test_bad_seed_rejected_by_name(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kmeans_plus_plus_init(np.zeros((3, 2)), 2, seed)
+
 
 class TestLloydStep:
     def test_fixed_point_when_centers_at_means(self):
@@ -241,7 +255,7 @@ class TestLloydStep:
         )
         assert found == pytest.approx(best, abs=1e-9)
 
-    def test_repair_never_takes_a_clusters_only_point(self):
+    def test_repair_never_takes_a_clusters_only_point(self, monkeypatch):
         # nearest: [c2, c0, c2], so c1 is empty; the farthest point is the
         # only member of c0 and must not be moved there
         points = np.array([[2.0], [0.0], [2.0]])
@@ -249,7 +263,8 @@ class TestLloydStep:
         new_centers, labels, _ = lloyd_step(points, centers)
         assert labels.tolist() == [1, 0, 2]
         np.testing.assert_array_equal(new_centers, [[0.0], [2.0], [2.0]])
-        assert kmeans(points, 3, 0, init_centers=centers).converged
+        start_kmeans_at(monkeypatch, centers)
+        assert kmeans(points, 3, 0).converged
 
     def test_empty_cluster_repaired_never_errors(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -307,26 +322,26 @@ class TestKMeans:
             kmeans(np.zeros((2, 2)), 3, 0)
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"k": 5, "init_centers": np.zeros((5, 2))}, "need 1 <= k <= n_points, got k=5, n=3"),
+        ({"k": 5}, "need 1 <= k <= n_points, got k=5, n=3"),
         ({"k": True}, "k must be an integer, got True"),
         ({"k": 2.0}, "k must be an integer, got 2.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"max_iters": -3}, "max_iters must be >= 0, got -3"),
         ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
         ({"tol": float("nan")}, "tol must be a real number >= 0, got nan"),
         ({"tol": -1e-6}, "tol must be a real number >= 0"),
         ({"tol": True}, "tol must be a real number >= 0, got True"),
-    ], ids=["k_above_n_with_init_centers", "k_bool", "k_float", "max_iters_negative",
-            "max_iters_float", "tol_nan", "tol_negative", "tol_bool"])
+    ], ids=["k_above_n", "k_bool", "k_float", "seed_bool", "seed_float", "seed_negative",
+            "max_iters_negative", "max_iters_float", "tol_nan", "tol_negative", "tol_bool"])
     def test_bad_arguments_rejected_by_name_before_any_work(self, kwargs, message, monkeypatch):
-        monkeypatch.setattr(clustering, "lloyd_step", None)  # any iteration would fail
+        # any seeding or iteration would fail
+        monkeypatch.setattr(clustering, "kmeans_plus_plus_init", None)
+        monkeypatch.setattr(clustering, "lloyd_step", None)
         points = np.random.default_rng(3).standard_normal((3, 2))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             kmeans(points, **{"k": 2, "seed": 0, **kwargs})
-
-    def test_explicit_init_centers_respected(self):
-        points = np.array([[0.0], [1.0], [10.0], [11.0]])
-        result = kmeans(points, 2, 0, init_centers=np.array([[0.0], [10.0]]))
-        np.testing.assert_allclose(sorted(result.centers[:, 0]), [0.5, 10.5], atol=1e-12)
 
     def test_nonfinite_points_rejected(self):
         points = np.array([[0.0], [np.nan]])
@@ -354,13 +369,13 @@ class TestSolutionInvariants:
                             result.centers[c], members.mean(axis=0), atol=1e-9
                         )
 
-    def test_permutation_equivariance_with_fixed_init(self):
+    def test_permutation_equivariance_with_fixed_init(self, monkeypatch):
         rng = np.random.default_rng(10)
         points = rng.standard_normal((30, 3))
-        init = rng.standard_normal((3, 3))
+        start_kmeans_at(monkeypatch, rng.standard_normal((3, 3)))
         perm = rng.permutation(30)
-        a = kmeans(points, 3, 0, init_centers=init)
-        b = kmeans(points[perm], 3, 0, init_centers=init)
+        a = kmeans(points, 3, 0)
+        b = kmeans(points[perm], 3, 0)
         np.testing.assert_allclose(a.centers, b.centers, atol=1e-9)
         np.testing.assert_array_equal(a.labels[perm], b.labels)
 
@@ -421,9 +436,10 @@ class TestExactScreen:
         def forbidden(p, c):
             raise AssertionError("exact path used")
 
+        start_kmeans_at(monkeypatch, centers)
         monkeypatch.setattr(clustering, "squared_distances", forbidden)
         new_centers, labels, objective = lloyd_step(points, centers)
-        result = kmeans(points, 4, 0, init_centers=centers)
+        result = kmeans(points, 4, 0)
         assign(points, centers)
         monkeypatch.undo()
         np.testing.assert_array_equal(labels, want[1])

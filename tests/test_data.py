@@ -22,7 +22,7 @@ from deepkm.data import (
     make_blobs,
     save_idx,
 )
-from deepkm.metrics import accuracy
+from deepkm.metrics import evaluate
 from helpers import idx_images_bytes, idx_labels_bytes
 
 
@@ -66,9 +66,17 @@ class TestDataset:
         with pytest.raises(ValueError, match="^n must be an integer, got "):
             ds.take(n)
 
-    def test_rejects_nonfinite_features(self):
-        with pytest.raises(ValueError):
+    def test_rejects_nonfinite_features(self, tmp_path):
+        with pytest.raises(ValueError, match="row 0, column 0 is nan$"):
             Dataset(np.array([[np.nan, 0.0]]))
+        features = np.zeros((3, 4))
+        features[1, 2], features[2, 0] = -np.inf, np.nan
+        with pytest.raises(ValueError, match="row 1, column 2 is -inf$"):
+            Dataset(features)
+        csv = tmp_path / "t.csv"
+        csv.write_text("1,2\n3,1e400\n")
+        with pytest.raises(ValueError, match="non-finite values: row 1, column 1 is inf$"):
+            load_delimited(csv)
 
     def test_rejects_mismatched_labels(self):
         with pytest.raises(ValueError):
@@ -162,6 +170,22 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match="truncated data"):
             load_idx(p)
 
+    @pytest.mark.parametrize("dims", [(2**31, 2**31, 4), (2**32 - 1,) * 3])
+    def test_huge_dimensions_are_truncated_data_at_their_true_size(self, tmp_path, dims):
+        # both products pass 2**63, beyond int64
+        p = tmp_path / "img.idx"
+        header = b"".join(d.to_bytes(4, "big") for d in (0x00000803, *dims))
+        p.write_bytes(header + bytes(8))
+        want = f"truncated data, expected {dims[0] * dims[1] * dims[2]} bytes at offset 16, found 8"
+        with pytest.raises(IdxFormatError, match=re.escape(want)):
+            load_idx(p)
+
+    def test_non_square_images_flatten_row_major(self, tmp_path):
+        p = tmp_path / "img.idx"
+        p.write_bytes(idx_images_bytes(np.arange(12, dtype=np.uint8).reshape(2, 2, 3)))
+        ds = load_idx(p)
+        np.testing.assert_array_equal(ds.features * 255, np.arange(12.0).reshape(2, 6))
+
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "img.idx"
         p.write_bytes((0x00000803).to_bytes(4, "big") + (3).to_bytes(4, "big"))
@@ -190,19 +214,17 @@ class TestSaveIdx:
         imgs = tmp_path / "out.idx"
         labs = tmp_path / "out-labels.idx"
         save_idx(ds, imgs, labs)
+        header = imgs.read_bytes()[:16]
+        assert [int.from_bytes(header[i:i + 4], "big") for i in range(0, 16, 4)] == [
+            0x00000803, 5, 3, 3]  # square images
         back = load_idx(imgs, labs)
         assert np.abs(back.features - ds.features).max() <= 0.5 / 255 + 1e-12
         np.testing.assert_array_equal(back.labels, ds.labels)
 
-    def test_explicit_height_width(self, tmp_path):
-        ds = Dataset(np.zeros((2, 6)))
-        save_idx(ds, tmp_path / "r.idx", height=2, width=3)
-        back = load_idx(tmp_path / "r.idx")
-        assert back.m == 6
-
     def test_non_square_without_dims_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="not square"):
+        with pytest.raises(ValueError, match="^feature dim 6 is not square$"):
             save_idx(Dataset(np.zeros((2, 6))), tmp_path / "r.idx")
+        assert list(tmp_path.iterdir()) == []
 
     def test_labels_require_labels(self, tmp_path):
         with pytest.raises(ValueError, match="no labels"):
@@ -214,18 +236,6 @@ class TestSaveIdx:
             save_idx(ds, tmp_path / "a.idx", tmp_path / "b.idx")
         assert not (tmp_path / "a.idx").exists()
         assert not (tmp_path / "b.idx").exists()
-
-    @pytest.mark.parametrize("height, width, message", [
-        (-2, -2, "height and width must be >= 1, got -2 and -2"),
-        (0, 4, "height and width must be >= 1, got 0 and 4"),
-        (2.0, 2, "height must be an integer, got 2.0"),
-        (2, True, "width must be an integer, got True"),
-    ])
-    def test_bad_height_or_width_rejected_before_writing(self, tmp_path, height, width, message):
-        # -2 * -2 matches the 4 features: it once left a partial file behind
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            save_idx(Dataset(np.zeros((2, 4))), tmp_path / "a.idx", height=height, width=width)
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadDelimited:
@@ -563,7 +573,7 @@ class TestMakeBlobs:
         # best of a few restarts; a single unlucky init can still split a blob
         best = min((kmeans(ds.features, 4, seed=s) for s in range(5)),
                    key=lambda r: r.objective)
-        acc, _ = accuracy(best.labels, ds.labels)
+        acc = evaluate(best.labels, ds.labels).acc
         assert acc == 1.0
 
     def test_parameter_validation(self):

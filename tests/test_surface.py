@@ -91,10 +91,10 @@ def test_package_optional_values_are_pinned():
         "__init__": [],
         "__main__": [],
         "cli": ["emit_report.suite", "main.argv"],
-        "clustering": ["kmeans.max_iters", "kmeans.tol", "kmeans.init_centers"],
+        "clustering": ["kmeans.max_iters", "kmeans.tol"],
         "data": [
             "integer_labels.what", "Dataset.labels", "Dataset.name", "load_idx.labels_path",
-            "save_idx.labels_path", "save_idx.height", "save_idx.width", "concat_datasets.name",
+            "save_idx.labels_path", "concat_datasets.name",
             "load_delimited.delimiter", "load_delimited.label_column",
             "load_delimited.skip_header", "load_delimited.minmax_scale", "load_delimited.name",
         ],
