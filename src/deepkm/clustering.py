@@ -10,7 +10,25 @@ Rows whose best and second-best centers lie within the screen's
 rounding bound of each other, and rows that could overflow, are
 recomputed with ``squared_distances``. So every label is the first
 minimum of the exact distances, the same bits the exact path alone
-gives.
+gives. The screen runs over blocks of rows to bound its (rows, K)
+scratch; a block's product may round differently from the whole one,
+but the screen only routes rows, so no label changes.
+
+``kmeans`` runs its Lloyd steps in one loop that also keeps Hamerly's
+bounds ("Making k-means even faster", SDM 2010): per row, a lower bound
+on its distance to the second-nearest center minus its distance to its
+own. The screen gives each screened row that margin, widened by the
+screen's own rounding bound. After each step the margin shrinks by the
+own center's shift plus the largest shift of any other center (the
+triangle inequality), and by an outward slack for the rounding of that
+update. A row whose margin still exceeds the rounding of the exact path
+keeps a label that the exact distances put strictly first, so it is not
+screened again; every other row is. A tie never separates (its margin
+is at most 0), so a kept label is still the exact first minimum. Only
+labels feed the means, which sum each cluster's rows in index order, so
+every center, label, objective and iteration count is the one plain
+Lloyd steps give. After a repair moves a point to an empty cluster,
+every row is screened again.
 """
 
 from __future__ import annotations
@@ -21,7 +39,8 @@ import numpy as np
 
 from .nn import _integer, _real, _seed
 
-_BLOCK_ELEMS = 2**24  # ~128 MiB of float64 scratch per distance block
+_BLOCK_ELEMS = 2**17  # 1 MiB of float64 scratch per distance block
+_SCREEN_ELEMS = 2**14  # float64 values in each of a screen block's arrays
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 _HUGE = np.finfo(np.float64).max / 4
@@ -78,38 +97,72 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Bit for bit ``np.argmin(squared_distances(points, centers), axis=1)``,
-    without the (N, K, dim) differences for rows the screen settles."""
+def _screen(points: np.ndarray, centers: np.ndarray, cc: np.ndarray,
+            gap: np.ndarray | None = None) -> np.ndarray:
+    """Nearest-center labels of a block of rows, bit for bit those of
+    ``np.argmin(squared_distances(points, centers), axis=1)``. ``cc`` holds
+    the centers' squared norms. Given ``gap``, one value per row, write
+    there a lower bound on each row's distance to its second-nearest
+    center minus its distance to its own."""
     dim = points.shape[1]
-    cc = np.einsum("kd,kd->k", centers, centers)
-    # s[i, j] = |c_j|^2 - 2 x_i.c_j = |x_i - c_j|^2 - |x_i|^2, rounded.
+    # s[j, i] = |c_j|^2 - 2 x_i.c_j = |x_i - c_j|^2 - |x_i|^2, rounded,
+    # center-major so that each reduction runs along contiguous rows.
     # Scaling by -2 is exact.
-    s = points @ (-2.0 * centers).T
-    s += cc
-    labels = np.argmin(s, axis=1)
+    s = (-2.0 * centers) @ points.T
+    s += cc[:, None]
+    best = s.min(axis=0)
     # With u = eps/2 and scale = |x|^2 + max_j |c_j|^2, in any summation
-    # order: s_ij is within (2 gamma_d + 2u) * scale ~ (d+1) eps * scale
+    # order: s_ji is within (2 gamma_d + 2u) * scale ~ (d+1) eps * scale
     # of its exact value (the gamma_d dot-product error, as |2 x.c| <=
     # scale), and the exact path's own rounding of |x - c_j|^2 <= 2 scale
     # is at most 2 gamma_{d+2} * scale ~ (d+2) eps * scale. tau is about
     # twice their sum; the tiny term covers gradual underflow. If every
-    # other s_ij exceeds the row's smallest by more than 2 tau, the exact
+    # other s_ji exceeds the row's smallest by more than 2 tau, the exact
     # distances keep the same center strictly first.
-    scale = np.einsum("nd,nd->n", points, points) + cc.max()
+    xx = np.einsum("nd,nd->n", points, points)
+    scale = xx + cc.max()
     tau = 4 * (dim + 4) * _EPS * scale + _TINY
-    best = np.take_along_axis(s, labels[:, None], axis=1)[:, 0]
-    # ~(s > bound) rather than s <= bound: a NaN, which argmin picks and
-    # passes on to the bound, makes every center of its row close.
-    close = ~(s > (best + 2.0 * tau)[:, None])
+    # ~(s > bound) rather than s <= bound: a NaN, which the minimum passes
+    # on to the bound, makes every center of its row close.
+    close = ~(s > best + 2.0 * tau)
+    # A row's smallest s is close; where it is the only close one, its
+    # index is the row's label.
+    labels = np.arange(centers.shape[0]) @ close
     # Past _HUGE either pass may overflow (|x - c|^2 <= 2 scale).
     ambiguous = np.flatnonzero(
-        (np.count_nonzero(close, axis=1) > 1) | ~(scale < _HUGE)
+        (np.count_nonzero(close, axis=0) > 1) | ~(scale < _HUGE)
     )
     if ambiguous.size:
         labels[ambiguous] = np.argmin(
             squared_distances(points[ambiguous], centers), axis=1
         )
+    if gap is not None:
+        # s_ji + |x_i|^2 is within tau of the true |x_i - c_j|^2; on a
+        # settled row the one close center is the row's own.
+        np.copyto(s, np.inf, where=close)
+        second = s.min(axis=0)
+        second += xx
+        second -= tau
+        best += xx
+        best += tau
+        gap[:] = np.sqrt(np.maximum(second, 0.0)) - np.sqrt(best)
+        gap[ambiguous] = -np.inf
+    return labels
+
+
+def _block_rows(width: int) -> int:
+    """Rows per screen block whose widest scratch has ``width`` values a row."""
+    return max(1, _SCREEN_ELEMS // width)
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Bit for bit ``np.argmin(squared_distances(points, centers), axis=1)``,
+    without the (N, K, dim) differences for rows the screen settles."""
+    cc = np.einsum("kd,kd->k", centers, centers)
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    block = _block_rows(centers.shape[0])
+    for start in range(0, points.shape[0], block):
+        labels[start : start + block] = _screen(points[start : start + block], centers, cc)
     return labels
 
 
@@ -152,37 +205,59 @@ def kmeans_plus_plus_init(
     return points[chosen].copy()
 
 
+def _repair(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
+            counts: np.ndarray) -> np.ndarray:
+    """Give every empty cluster the point farthest from its current
+    center; ``labels`` and ``counts`` change in place, and the repaired
+    centers are returned as a copy.
+
+    Clusters are repaired in ascending index order; among equally far
+    points the lowest index wins. A point alone in its cluster is never
+    taken, so no repair empties another cluster, and donor points are
+    removed from the pool so two empty clusters never grab the same point.
+    """
+    d2 = squared_distances(points, centers)
+    own_d2 = d2[np.arange(points.shape[0]), labels]
+    centers = centers.copy()
+    for cluster in np.flatnonzero(counts == 0):
+        # first max = lowest index on ties
+        donor = int(np.argmax(np.where(counts[labels] > 1, own_d2, -np.inf)))
+        counts[labels[donor]] -= 1
+        counts[cluster] += 1
+        centers[cluster] = points[donor]
+        labels[donor] = cluster
+        own_d2[donor] = -np.inf
+    return centers
+
+
 def _assign_repaired(
     points: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Nearest-center labels with every empty cluster given the point
-    farthest from its current center.
+    """Nearest-center labels with every empty cluster repaired (``_repair``).
 
     Returns (labels, centers, counts per cluster, objective), where the
     objective is the sum of squared distances from each point to its
-    center after the repair. Clusters are repaired in ascending index
-    order; among equally far points the lowest index wins. A point alone
-    in its cluster is never taken, so no repair empties another cluster,
-    and donor points are removed from the pool so two empty clusters
-    never grab the same point.
+    center after the repair.
     """
-    k = centers.shape[0]
     labels = _nearest(points, centers)
-    counts = np.bincount(labels, minlength=k)
+    counts = np.bincount(labels, minlength=centers.shape[0])
     if not counts.all():
-        d2 = squared_distances(points, centers)
-        own_d2 = d2[np.arange(points.shape[0]), labels]
-        centers = centers.copy()
-        for cluster in np.flatnonzero(counts == 0):
-            # first max = lowest index on ties
-            donor = int(np.argmax(np.where(counts[labels] > 1, own_d2, -np.inf)))
-            counts[labels[donor]] -= 1
-            counts[cluster] += 1
-            centers[cluster] = points[donor]
-            labels[donor] = cluster
-            own_d2[donor] = -np.inf
-    diff = points - centers[labels]
+        centers = _repair(points, centers, labels, counts)
+    diff = centers[labels]
+    np.subtract(points, diff, out=diff)
     return labels, centers, counts, float(np.einsum("nd,nd->", diff, diff))
+
+
+def _means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(K, dim) cluster means.
+
+    bincount adds each cluster's rows in index order, from 0.0, so the
+    sums are the bits that np.add.at gives."""
+    sums = np.stack(
+        [np.bincount(labels, weights=column, minlength=counts.size) for column in points.T],
+        axis=1,
+    )
+    return sums / counts[:, None]
 
 
 def lloyd_step(
@@ -203,15 +278,73 @@ def lloyd_step(
             f"need no more centers than points, got {centers.shape[0]} centers "
             f"for {points.shape[0]} points"
         )
-    labels, centers, counts, objective = _assign_repaired(points, centers)
-    # bincount adds each cluster's rows in index order, from 0.0, so the
-    # sums are the bits that np.add.at gives.
-    sums = np.stack(
-        [np.bincount(labels, weights=points[:, a], minlength=centers.shape[0])
-         for a in range(points.shape[1])],
-        axis=1,
-    )
-    return sums / counts[:, None], labels, objective
+    labels, _, counts, objective = _assign_repaired(points, centers)
+    return _means(points, labels, counts), labels, objective
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int,
+           tol: float) -> tuple[np.ndarray, int, bool]:
+    """Lloyd iterations from ``centers`` until the largest center shift
+    drops below ``tol``: (centers, iterations, converged). Each step's
+    labels and means are those of ``lloyd_step``; a row whose bounds show
+    that it keeps its label is not screened again."""
+    n, dim = points.shape
+    k = centers.shape[0]
+    sq_radius = float(np.einsum("nd,nd->n", points, points).max())
+    # Past _HUGE / 4 a distance may overflow: every row is screened.
+    bounded = sq_radius < _HUGE / 4
+    radius = np.sqrt(sq_radius) if bounded else 0.0
+    # Every center is a mean of points or a point, so no distance exceeds
+    # about 2 * radius. ``unit`` is at least twice the rounding of one
+    # bound update, ~(d + 10) eps * radius (two shift norms, two sums and
+    # a difference), and of one fresh bound; ``settled`` adds twice the
+    # margin below which the exact path's rounding of two squared
+    # distances, ~2 gamma_{d+2} * 4 radius^2, could still swap their
+    # order. The power of two covers gradual underflow.
+    unit = 4 * (dim + 8) * _EPS * radius + 2.0**-500
+    settled = 4.0 * np.sqrt((dim + 4) * _EPS) * radius + unit
+    labels = np.zeros(n, dtype=np.intp)
+    gap = np.full(n, -np.inf)  # a lower bound on each row's margin; -inf: screen it
+    moved = np.zeros(k)  # how far the last step can have shrunk the margin, per label
+    block = _block_rows(max(k, dim))  # its rows are gathered: (rows, dim)
+    converged = False
+    iterations = 0
+    for _ in range(max_iters):
+        cc = np.einsum("kd,kd->k", centers, centers)
+        gap -= moved[labels]
+        # A tie gives a margin <= 0, so it is always screened.
+        unsettled = np.flatnonzero(~(gap > settled))
+        for start in range(0, unsettled.size, block):
+            # Repeated up to a power of two, so that a fit's scratch comes
+            # in few sizes: with every size, desk's resident peak read
+            # 1.6 MB higher. A repeated row gets the same label and bound.
+            rows = unsettled[start : start + block]
+            rows = np.resize(rows, min(block, n, 1 << (rows.size - 1).bit_length()))
+            fresh = np.empty(rows.size) if bounded else None
+            labels[rows] = _screen(points[rows], centers, cc, fresh)
+            if bounded:
+                gap[rows] = fresh
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            _repair(points, centers, labels, counts)
+            gap[:] = -np.inf  # donors keep no nearest-center bound
+        new_centers = _means(points, labels, counts)
+        iterations += 1
+        step = new_centers - centers
+        shift = float(np.max(np.abs(step)))
+        centers = new_centers
+        if shift < tol:
+            converged = True
+            break
+        if bounded:
+            # Hamerly's update: a row's own center comes nearer by at most
+            # its shift, every other center by at most the largest other shift.
+            norms = np.sqrt(np.einsum("kd,kd->k", step, step))
+            top = int(np.argmax(norms))
+            moved = np.full(k, norms[top])
+            moved[top] = np.max(np.delete(norms, top), initial=0.0)
+            moved += norms + unit
+    return centers, iterations, converged
 
 
 def kmeans(
@@ -222,9 +355,13 @@ def kmeans(
     tol: float = 1e-6,
 ) -> KMeansResult:
     """Full K-means: k-means++ seeding then Lloyd iterations until the
-    largest center shift drops below ``tol``.
+    largest center shift drops below ``tol``; a shift equal to ``tol``
+    does not stop it, so at ``tol=0`` the fit runs all ``max_iters``
+    iterations and reports ``converged=False``.
 
-    The returned labels and objective are consistent with the returned
+    Every step's labels, means and repairs are those of ``lloyd_step``
+    (see the module docstring for the rows it does not screen again). The
+    returned labels and objective are consistent with the returned
     centers: both are recomputed after the final update. ``k`` must be an
     integer in [1, n_points], ``seed`` an integer >= 0 or a Generator,
     ``max_iters`` an integer >= 0 and ``tol`` a real >= 0; each is
@@ -238,16 +375,7 @@ def kmeans(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     tol = _real("tol", tol, at_least=0)
     centers = kmeans_plus_plus_init(points, k, seed)
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        new_centers, _, _ = lloyd_step(points, centers)
-        iterations += 1
-        shift = float(np.max(np.abs(new_centers - centers)))
-        centers = new_centers
-        if shift < tol:
-            converged = True
-            break
+    centers, iterations, converged = _lloyd(points, centers, max_iters, tol)
     labels, centers, _, objective = _assign_repaired(points, centers)
     return KMeansResult(
         centers=centers,

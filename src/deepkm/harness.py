@@ -333,6 +333,7 @@ def run_method(dataset: Dataset, config: TrainConfig,
             recon_losses.append(recon)
             clust_losses.append(clust)
             if reinit:
+                del latents  # the last encode's, freed before this one allocates
                 latents = encode_blocks(params, dataset.features)
                 rng = np.random.default_rng(refit_seeds[epoch])
                 term.centroids = _kmeans(latents, config, rng, f"refit at epoch {epoch}").centers

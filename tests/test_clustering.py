@@ -45,22 +45,68 @@ def ref_lloyd_step(points, centers):
 
 
 def ref_kmeans(points, k, seed, max_iters=100, tol=1e-6):
-    centers = kmeans_plus_plus_init(points, k, seed)
+    """(centers, labels, objective, iterations, converged); seeded through
+    the module, so ``start_kmeans_at`` starts it too."""
+    centers = clustering.kmeans_plus_plus_init(points, k, seed)
     iterations = 0
+    converged = False
     for _ in range(max_iters):
         new_centers = ref_lloyd_step(points, centers)[0]
         iterations += 1
         shift = float(np.max(np.abs(new_centers - centers)))
         centers = new_centers
         if shift < tol:
+            converged = True
             break
     _, labels, objective, centers = ref_lloyd_step(points, centers)
-    return centers, labels, objective, iterations
+    return centers, labels, objective, iterations, converged
 
 
 def start_kmeans_at(monkeypatch, centers):
     """Make ``kmeans`` start from ``centers`` instead of k-means++."""
     monkeypatch.setattr(clustering, "kmeans_plus_plus_init", lambda points, k, seed: centers.copy())
+
+
+def assert_same_fit(points, k, seed, max_iters=100, tol=1e-6):
+    """``kmeans`` gives ``ref_kmeans``' every output bit for bit, or the
+    same error."""
+    try:
+        want = ref_kmeans(points, k, seed, max_iters, tol)
+    except IndexError as exc:
+        with pytest.raises(IndexError, match=f"^{re.escape(str(exc))}$"):
+            kmeans(points, k, seed, max_iters, tol)
+        return
+    got = kmeans(points, k, seed, max_iters, tol)
+    assert got.centers.tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(got.labels, want[1])
+    assert np.float64(got.objective).tobytes() == np.float64(want[2]).tobytes()
+    assert (got.iterations, got.converged) == want[3:]
+
+
+def record_steps(monkeypatch):
+    """Per Lloyd step of the next fits: its labels, the rows it passed to
+    the screen (repeats included) and whether it repaired a cluster."""
+    steps = []
+    step = {"screened": 0, "repaired": False}
+    screen, repair, means = clustering._screen, clustering._repair, clustering._means
+
+    def spy_screen(points, *args):
+        step["screened"] += len(points)
+        return screen(points, *args)
+
+    def spy_repair(*args):
+        step["repaired"] = True
+        return repair(*args)
+
+    def spy_means(points, labels, counts):
+        steps.append(dict(step, labels=labels.copy()))
+        step.update(screened=0, repaired=False)
+        return means(points, labels, counts)
+
+    monkeypatch.setattr(clustering, "_screen", spy_screen)
+    monkeypatch.setattr(clustering, "_repair", spy_repair)
+    monkeypatch.setattr(clustering, "_means", spy_means)
+    return steps
 
 
 def assert_same_step(points, centers):
@@ -128,6 +174,23 @@ SCREEN_CASES = [
     _spread_points, _tied_grid, _offset, _near_ties_offset, _near_ties_subnormal,
     _zeros, _huge, _huge_finite_screen, _tiny,
 ]
+
+
+def _late_churn(rng):
+    # overlapping blobs and 60 duplicated rows: rows still change cluster
+    # after many steps
+    means = 1.5 * rng.standard_normal((6, 2))
+    points = means[rng.integers(0, 6, 540)] + rng.standard_normal((540, 2))
+    return np.vstack([points, points[:60]]), means
+
+
+# 20 points on a half-integer grid, with duplicates, and five starting
+# centers: step 2, the first to test bounds, empties a cluster.
+REPAIR_POINTS = np.array([
+    -2.0, 1.0, 1.0, 0.5, -1.5, -3.0, -1.0, 1.0, 1.0, -1.5,
+    0.5, 2.5, 2.5, -0.5, 0.5, 3.5, -0.5, -2.0, -3.5, 0.5,
+])[:, None]
+REPAIR_START = np.array([4.4, -4.0, 0.385, 1.13, -0.3])[:, None]
 
 
 class TestAssign:
@@ -349,6 +412,30 @@ class TestKMeans:
             kmeans(points, 1, 0)
 
 
+@pytest.mark.parametrize("fit", ["kmeans", "ref_kmeans"])
+class TestStopRule:
+    """A fit stops once the largest center shift is below ``tol``, not at it."""
+
+    points = np.array([[0.0], [1.0], [10.0], [11.0]])
+
+    def iterations_converged(self, fit, monkeypatch, **kwargs):
+        # one center per pair, on a point: the first step moves each
+        # center by exactly 0.5, the second by 0
+        start_kmeans_at(monkeypatch, np.array([[0.0], [11.0]]))
+        if fit == "kmeans":
+            result = kmeans(self.points, 2, 0, **kwargs)
+            return result.iterations, result.converged
+        return ref_kmeans(self.points, 2, 0, **kwargs)[3:]
+
+    def test_shift_equal_to_tol_does_not_stop(self, fit, monkeypatch):
+        assert self.iterations_converged(fit, monkeypatch, tol=0.5) == (2, True)
+        assert self.iterations_converged(fit, monkeypatch, tol=np.nextafter(0.5, 1.0)) == (1, True)
+
+    def test_zero_tol_runs_to_max_iters_at_a_fixed_point(self, fit, monkeypatch):
+        got = self.iterations_converged(fit, monkeypatch, tol=0.0, max_iters=7)
+        assert got == (7, False)
+
+
 class TestSolutionInvariants:
     def test_assignment_and_centroid_optimality(self):
         rng = np.random.default_rng(9)
@@ -426,6 +513,41 @@ class TestExactScreen:
         assert labels[37] == 0
         np.testing.assert_array_equal(labels, ref_nearest(points, centers))
 
+    def test_rows_within_twice_tau_take_the_exact_path(self, monkeypatch):
+        # centers 0 and 1 on a line: s = (0, 1 - 2x), and tau = 4 (1 + 4)
+        # eps (x^2 + 1) + tiny. Row 0's two values lie 1.5 tau apart.
+        eps = np.finfo(float).eps
+        tau = 20 * eps * 1.25 + np.finfo(float).tiny
+        points = np.array([[0.5 - 0.75 * tau], [0.1], [0.9]])
+        centers = np.array([[0.0], [1.0]])
+        seen = []
+        real = clustering.squared_distances
+
+        def spy(p, c):
+            seen.append(p.copy())
+            return real(p, c)
+
+        monkeypatch.setattr(clustering, "squared_distances", spy)
+        labels = assign(points, centers)
+        assert len(seen) == 1 and np.array_equal(seen[0], points[:1])
+        assert labels.tolist() == [0, 0, 1]
+
+    def test_rows_within_the_bounds_slack_are_screened_again(self, monkeypatch):
+        # A = {-2, -1, p} and B = {1, 2} on a line, started at their means,
+        # so every step keeps them. With radius 2 and d = 1 the bounds'
+        # slack is 4 sqrt(5 eps) 2 + 4 (1 + 8) eps 2 + 2^-500; p's margin,
+        # |p - c_B| - |p - c_A| = 0.5 - 5p/3, is three quarters of it.
+        eps = np.finfo(float).eps
+        slack = 8 * np.sqrt(5 * eps) + 72 * eps + 2.0**-500
+        p = (0.5 - 0.75 * slack) * 0.6
+        points = np.array([[-2.0], [-1.0], [p], [1.0], [2.0]])
+        start_kmeans_at(monkeypatch, np.array([[(-2.0 + -1.0 + p) / 3], [1.5]]))
+        steps = record_steps(monkeypatch)
+        result = kmeans(points, 2, 0, max_iters=3, tol=0.0)
+        assert result.labels.tolist() == [0, 0, 0, 1, 1]
+        # every row is screened first, then only p
+        assert [step["screened"] for step in steps] == [5, 1, 1]
+
     def test_settled_rows_never_form_all_distances(self, monkeypatch):
         rng = np.random.default_rng(2)
         centers = 10.0 * rng.standard_normal((4, 3))
@@ -459,8 +581,37 @@ class TestExactScreen:
         means = 3.0 * rng.standard_normal((5, 4))
         points = means[rng.integers(0, 5, 500)] + rng.standard_normal((500, 4))
         got = kmeans(points, 5, seed)
-        centers, labels, objective, iterations = ref_kmeans(points, 5, seed)
+        centers, labels, objective, iterations, _ = ref_kmeans(points, 5, seed)
         assert got.centers.tobytes() == centers.tobytes()
         np.testing.assert_array_equal(got.labels, labels)
         assert got.objective == objective
         assert got.iterations == iterations
+
+    @pytest.mark.parametrize("make", SCREEN_CASES + [_late_churn],
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_kmeans_matches_reference_on_every_corpus(self, make):
+        points, _ = make(np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in (1, 2, 5, len(points)):
+                assert_same_fit(points, k, seed=k)
+
+    def test_rows_changing_late_match_reference(self, monkeypatch):
+        points, _ = _late_churn(np.random.default_rng(0))
+        steps = record_steps(monkeypatch)
+        kmeans(points, 5, 1)
+        monkeypatch.undo()
+        changed = [np.count_nonzero(a["labels"] != b["labels"]) for a, b in zip(steps, steps[1:])]
+        assert sum(changed[5:]) > 0  # steps 7 and later relabel rows
+        assert min(step["screened"] for step in steps) < len(points) // 2
+        assert_same_fit(points, 5, 1)
+
+    def test_repair_between_bounded_steps_matches_reference(self, monkeypatch):
+        start_kmeans_at(monkeypatch, REPAIR_START)
+        steps = record_steps(monkeypatch)
+        got = kmeans(REPAIR_POINTS, 5, 0)
+        assert [step["repaired"] for step in steps] == [False, True] + [False] * (got.iterations - 2)
+        assert got.iterations >= 4
+        # the repair forces a full pass, after which bounds settle rows again
+        n = len(REPAIR_POINTS)
+        assert [step["screened"] < n for step in steps[:4]] == [False, False, False, True]
+        assert_same_fit(REPAIR_POINTS, 5, 0)
