@@ -28,7 +28,14 @@ is at most 0), so a kept label is still the exact first minimum. Only
 labels feed the means, which sum each cluster's rows in index order, so
 every center, label, objective and iteration count is the one plain
 Lloyd steps give. After a repair moves a point to an empty cluster,
-every row is screened again.
+every row is screened again. Where |x|^2 could overflow, no margin
+settles a row, and every row is screened at every step.
+
+The loop ends with one more labelling, of its final centers, with
+repairs, under the same bounds: a converged fit screens few rows there.
+Those labels and repaired centers are ``kmeans``' result, and
+``lloyd_step`` is the same loop run for no steps plus one mean update,
+so the two share every labelling by construction.
 """
 
 from __future__ import annotations
@@ -166,8 +173,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return labels
 
 
-def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Index of the nearest center per point; ties go to the lowest index."""
+def _check_pair(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both checked with ``_check_points``, and of one dimension."""
     points = _check_points(points)
     centers = _check_points(centers, "centers")
     if points.shape[1] != centers.shape[1]:
@@ -175,7 +182,12 @@ def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
             f"dimension mismatch: points are {points.shape[1]}-d, "
             f"centers are {centers.shape[1]}-d"
         )
-    return _nearest(points, centers)
+    return points, centers
+
+
+def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of the nearest center per point; ties go to the lowest index."""
+    return _nearest(*_check_pair(points, centers))
 
 
 def kmeans_plus_plus_init(
@@ -183,7 +195,12 @@ def kmeans_plus_plus_init(
 ) -> np.ndarray:
     """Seed K centers: first uniform, the rest D^2-weighted on squared
     distance to the nearest already-chosen center. ``seed`` may be an
-    integer >= 0 or an existing Generator."""
+    integer >= 0 or an existing Generator.
+
+    A draw is ``rng.random()`` times the weights' sum, located in their
+    cumulative sums. Where it lands past the last of them, which rounding
+    allows and which every draw does once the sum overflows, it takes the
+    last point with positive weight."""
     rng = np.random.default_rng(_check_seed(seed))
     points = _check_points(points)
     n = points.shape[0]
@@ -199,7 +216,8 @@ def kmeans_plus_plus_init(
             chosen[i] = rng.integers(n)
         else:
             r = rng.random() * total
-            chosen[i] = np.searchsorted(np.cumsum(d2), r, side="right")
+            index = np.searchsorted(np.cumsum(d2), r, side="right")
+            chosen[i] = index if index < n else np.flatnonzero(d2)[-1]
         new_d2 = squared_distances(points, points[chosen[i]][None, :])[:, 0]
         np.minimum(d2, new_d2, out=d2)
     return points[chosen].copy()
@@ -230,22 +248,12 @@ def _repair(points: np.ndarray, centers: np.ndarray, labels: np.ndarray,
     return centers
 
 
-def _assign_repaired(
-    points: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Nearest-center labels with every empty cluster repaired (``_repair``).
-
-    Returns (labels, centers, counts per cluster, objective), where the
-    objective is the sum of squared distances from each point to its
-    center after the repair.
-    """
-    labels = _nearest(points, centers)
-    counts = np.bincount(labels, minlength=centers.shape[0])
-    if not counts.all():
-        centers = _repair(points, centers, labels, counts)
+def _objective(points: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
+    """Sum of squared distances from each point to its center, from one
+    (N, dim) buffer."""
     diff = centers[labels]
     np.subtract(points, diff, out=diff)
-    return labels, centers, counts, float(np.einsum("nd,nd->", diff, diff))
+    return float(np.einsum("nd,nd->", diff, diff))
 
 
 def _means(points: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -269,47 +277,49 @@ def lloyd_step(
     sum of squared distances from each point to the center it was just
     assigned to, i.e. evaluated before the mean update. This makes the
     sequence of objectives across steps non-increasing. There may be no
-    more centers than points, so that every cluster can be repaired.
+    more centers than points, so that every cluster can be repaired. The
+    labelling is ``kmeans``' own: ``_lloyd`` run for no steps.
     """
-    points = _check_points(points)
-    centers = _check_points(centers, "centers")
+    points, centers = _check_pair(points, centers)
     if centers.shape[0] > points.shape[0]:
         raise ValueError(
             f"need no more centers than points, got {centers.shape[0]} centers "
             f"for {points.shape[0]} points"
         )
-    labels, _, counts, objective = _assign_repaired(points, centers)
-    return _means(points, labels, counts), labels, objective
+    centers, labels, counts, _, _ = _lloyd(points, centers, 0, 0.0)
+    return _means(points, labels, counts), labels, _objective(points, centers, labels)
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int,
-           tol: float) -> tuple[np.ndarray, int, bool]:
+def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Lloyd iterations from ``centers`` until the largest center shift
-    drops below ``tol``: (centers, iterations, converged). Each step's
-    labels and means are those of ``lloyd_step``; a row whose bounds show
-    that it keeps its label is not screened again."""
+    drops below ``tol`` or ``max_iters`` steps have run, then one last
+    labelling of the final centers. Returns that labelling's repaired
+    centers, labels and counts per cluster, then (iterations, converged).
+    Every labelling and repair is that of ``lloyd_step``; a row whose
+    bounds show that it keeps its label is not screened again."""
     n, dim = points.shape
     k = centers.shape[0]
     sq_radius = float(np.einsum("nd,nd->n", points, points).max())
-    # Past _HUGE / 4 a distance may overflow: every row is screened.
-    bounded = sq_radius < _HUGE / 4
-    radius = np.sqrt(sq_radius) if bounded else 0.0
+    radius = np.sqrt(sq_radius)
     # Every center is a mean of points or a point, so no distance exceeds
     # about 2 * radius. ``unit`` is at least twice the rounding of one
     # bound update, ~(d + 10) eps * radius (two shift norms, two sums and
     # a difference), and of one fresh bound; ``settled`` adds twice the
     # margin below which the exact path's rounding of two squared
     # distances, ~2 gamma_{d+2} * 4 radius^2, could still swap their
-    # order. The power of two covers gradual underflow.
+    # order. The power of two covers gradual underflow. Past _HUGE / 4 a
+    # distance may overflow, and no margin settles a row.
     unit = 4 * (dim + 8) * _EPS * radius + 2.0**-500
-    settled = 4.0 * np.sqrt((dim + 4) * _EPS) * radius + unit
+    settled = (4.0 * np.sqrt((dim + 4) * _EPS) * radius + unit
+               if sq_radius < _HUGE / 4 else np.inf)
     labels = np.zeros(n, dtype=np.intp)
     gap = np.full(n, -np.inf)  # a lower bound on each row's margin; -inf: screen it
     moved = np.zeros(k)  # how far the last step can have shrunk the margin, per label
     block = _block_rows(max(k, dim))  # its rows are gathered: (rows, dim)
     converged = False
     iterations = 0
-    for _ in range(max_iters):
+    while True:
         cc = np.einsum("kd,kd->k", centers, centers)
         gap -= moved[labels]
         # A tie gives a margin <= 0, so it is always screened.
@@ -320,31 +330,29 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int,
             # 1.6 MB higher. A repeated row gets the same label and bound.
             rows = unsettled[start : start + block]
             rows = np.resize(rows, min(block, n, 1 << (rows.size - 1).bit_length()))
-            fresh = np.empty(rows.size) if bounded else None
+            fresh = np.empty(rows.size)
             labels[rows] = _screen(points[rows], centers, cc, fresh)
-            if bounded:
-                gap[rows] = fresh
+            gap[rows] = fresh
         counts = np.bincount(labels, minlength=k)
+        repaired = centers
         if not counts.all():
-            _repair(points, centers, labels, counts)
+            repaired = _repair(points, centers, labels, counts)
             gap[:] = -np.inf  # donors keep no nearest-center bound
+        if converged or iterations == max_iters:
+            return repaired, labels, counts, iterations, converged
         new_centers = _means(points, labels, counts)
         iterations += 1
+        # From the centers before any repair, as chained lloyd_step calls do.
         step = new_centers - centers
-        shift = float(np.max(np.abs(step)))
+        converged = float(np.max(np.abs(step))) < tol
         centers = new_centers
-        if shift < tol:
-            converged = True
-            break
-        if bounded:
-            # Hamerly's update: a row's own center comes nearer by at most
-            # its shift, every other center by at most the largest other shift.
-            norms = np.sqrt(np.einsum("kd,kd->k", step, step))
-            top = int(np.argmax(norms))
-            moved = np.full(k, norms[top])
-            moved[top] = np.max(np.delete(norms, top), initial=0.0)
-            moved += norms + unit
-    return centers, iterations, converged
+        # Hamerly's update: a row's own center comes nearer by at most its
+        # shift, every other center by at most the largest other shift.
+        norms = np.sqrt(np.einsum("kd,kd->k", step, step))
+        top = int(np.argmax(norms))
+        moved = np.full(k, norms[top])
+        moved[top] = np.max(np.delete(norms, top), initial=0.0)
+        moved += norms + unit
 
 
 def kmeans(
@@ -362,10 +370,11 @@ def kmeans(
     Every step's labels, means and repairs are those of ``lloyd_step``
     (see the module docstring for the rows it does not screen again). The
     returned labels and objective are consistent with the returned
-    centers: both are recomputed after the final update. ``k`` must be an
-    integer in [1, n_points], ``seed`` an integer >= 0 or a Generator,
-    ``max_iters`` an integer >= 0 and ``tol`` a real >= 0; each is
-    checked before any work.
+    centers: the loop labels the final centers once more, repairing any
+    empty cluster, and the objective is taken against those labels. ``k``
+    must be an integer in [1, n_points], ``seed`` an integer >= 0 or a
+    Generator, ``max_iters`` an integer >= 0 and ``tol`` a real >= 0;
+    each is checked before any work.
     """
     points = _check_points(points)
     k = _check_k(k, points.shape[0])
@@ -375,12 +384,11 @@ def kmeans(
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     tol = _real("tol", tol, at_least=0)
     centers = kmeans_plus_plus_init(points, k, seed)
-    centers, iterations, converged = _lloyd(points, centers, max_iters, tol)
-    labels, centers, _, objective = _assign_repaired(points, centers)
+    centers, labels, _, iterations, converged = _lloyd(points, centers, max_iters, tol)
     return KMeansResult(
         centers=centers,
         labels=labels,
-        objective=objective,
+        objective=_objective(points, centers, labels),
         iterations=iterations,
         converged=converged,
     )

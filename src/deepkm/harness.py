@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .clustering import KMeansResult, assign, kmeans
+from .clustering import KMeansResult, _check_k, assign, kmeans
 from .data import Dataset
 from .losses import LossConfig, combined_objective
 from .metrics import MetricsReport, evaluate
@@ -299,8 +299,7 @@ def run_method(dataset: Dataset, config: TrainConfig,
     point is labelled by its nearest centroid. ``on_batch(epoch, batch,
     centroids)`` is called after every finetuning batch with a copy of
     the centroids."""
-    if not 1 <= config.k <= dataset.n:
-        raise ValueError(f"need 1 <= k <= n_points, got k={config.k}, n={dataset.n}")
+    _check_k(config.k, dataset.n)
     started = time.perf_counter()
     # One stream per phase, spawned in the same order for every method, so
     # ours with lam=0 and zero finetune epochs replays aekm exactly.

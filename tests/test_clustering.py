@@ -68,14 +68,8 @@ def start_kmeans_at(monkeypatch, centers):
 
 
 def assert_same_fit(points, k, seed, max_iters=100, tol=1e-6):
-    """``kmeans`` gives ``ref_kmeans``' every output bit for bit, or the
-    same error."""
-    try:
-        want = ref_kmeans(points, k, seed, max_iters, tol)
-    except IndexError as exc:
-        with pytest.raises(IndexError, match=f"^{re.escape(str(exc))}$"):
-            kmeans(points, k, seed, max_iters, tol)
-        return
+    """``kmeans`` gives ``ref_kmeans``' every output bit for bit."""
+    want = ref_kmeans(points, k, seed, max_iters, tol)
     got = kmeans(points, k, seed, max_iters, tol)
     assert got.centers.tobytes() == want[0].tobytes()
     np.testing.assert_array_equal(got.labels, want[1])
@@ -214,7 +208,7 @@ class TestAssign:
             assert labels[i] == int(np.argmin(dists))
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dimension mismatch: points are 2-d, centers are 3-d$"):
             assign(np.zeros((3, 2)), np.zeros((2, 3)))
 
     def test_blockwise_distances_are_exact(self):
@@ -270,6 +264,38 @@ class TestPlusPlusInit:
     def test_bad_seed_rejected_by_name(self, seed, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             kmeans_plus_plus_init(np.zeros((3, 2)), 2, seed)
+
+    @pytest.mark.parametrize("points, k", [
+        (1e154 * np.random.default_rng(0).standard_normal((200, 6)), 3),
+        (1e154 * np.random.default_rng(0).standard_normal((200, 6)), 7),
+        (1e154 * np.random.default_rng(0).standard_normal((200, 6)), 200),
+        (_near_bisector(np.random.default_rng(0), 0.0, 1e-158)[0], 300),
+        (1e153 * np.random.default_rng(0).standard_normal((200, 6)), 2),
+    ], ids=["huge_k3", "huge_k7", "huge_kn", "subnormal_kn", "finite_weights_overflowing_sum"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_draw_past_the_last_cumulative_weight_takes_the_last_weighted_point(
+            self, points, k, seed):
+        # rounding, or a sum of weights that overflows to inf, puts the draw
+        # past every cumulative sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = kmeans_plus_plus_init(points, k, seed)
+            again = kmeans_plus_plus_init(points, k, seed)
+        assert centers.shape == (k, points.shape[1])
+        assert all((points == row).all(axis=1).any() for row in centers)
+        assert centers.tobytes() == again.tobytes()
+
+    def test_overflowing_sum_draws_the_last_weighted_point(self):
+        # every weight is finite, but their sum is inf; the last point
+        # repeats the first center, so it weighs 0
+        points = 1e153 * np.random.default_rng(0).standard_normal((200, 6))
+        first = np.random.default_rng(0).integers(200)
+        points[-1] = points[first]
+        d2 = squared_distances(points, points[[first]])[:, 0]
+        assert np.isfinite(d2).all() and np.flatnonzero(d2)[-1] == 198
+        with np.errstate(over="ignore"):
+            assert d2.sum() == np.inf
+            centers = kmeans_plus_plus_init(points, 2, 0)
+        np.testing.assert_array_equal(centers, points[[first, np.flatnonzero(d2)[-1]]])
 
 
 class TestLloydStep:
@@ -335,6 +361,10 @@ class TestLloydStep:
         new_centers, labels, _ = lloyd_step(points, centers)
         assert set(labels.tolist()) == {0, 1}
         assert np.all(np.isfinite(new_centers))
+
+    def test_dimension_mismatch_rejected_by_name(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: points are 3-d, centers are 4-d$"):
+            lloyd_step(np.zeros((5, 3)), np.zeros((2, 4)))
 
     def test_more_centers_than_points_rejected(self):
         with pytest.raises(ValueError, match="no more centers than points, got 4 centers for 3"):
@@ -595,6 +625,16 @@ class TestExactScreen:
             for k in (1, 2, 5, len(points)):
                 assert_same_fit(points, k, seed=k)
 
+    @pytest.mark.parametrize("make", SCREEN_CASES + [_late_churn],
+                             ids=lambda f: f.__name__.strip("_"))
+    def test_kmeans_matches_reference_after_zero_and_one_steps(self, make):
+        # the loop's exit after its last labelling; _zeros repairs there
+        points, _ = make(np.random.default_rng(0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for max_iters in (0, 1):
+                for k in (1, 2, 5, len(points)):
+                    assert_same_fit(points, k, seed=k, max_iters=max_iters)
+
     def test_rows_changing_late_match_reference(self, monkeypatch):
         points, _ = _late_churn(np.random.default_rng(0))
         steps = record_steps(monkeypatch)
@@ -604,6 +644,26 @@ class TestExactScreen:
         assert sum(changed[5:]) > 0  # steps 7 and later relabel rows
         assert min(step["screened"] for step in steps) < len(points) // 2
         assert_same_fit(points, 5, 1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_converged_fit_screens_few_rows_in_its_last_labelling(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        means = 10.0 * rng.standard_normal((10, 10))
+        points = means[rng.integers(0, 10, 30000)] + rng.standard_normal((30000, 10))
+        steps = record_steps(monkeypatch)
+        screened = []
+        screen = clustering._screen
+
+        def count_screen(rows, *args):
+            screened.append(len(rows))
+            return screen(rows, *args)
+
+        monkeypatch.setattr(clustering, "_screen", count_screen)
+        result = kmeans(points, 10, seed)
+        assert result.converged and len(steps) == result.iterations
+        # rows screened after the last mean update, by the final labelling
+        last = sum(screened) - sum(step["screened"] for step in steps)
+        assert last < len(points) // 100
 
     def test_repair_between_bounded_steps_matches_reference(self, monkeypatch):
         start_kmeans_at(monkeypatch, REPAIR_START)

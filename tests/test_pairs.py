@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
@@ -37,10 +39,18 @@ def test_pairs_alternate_and_are_summarized_against_the_bounds(tmp_path):
         metrics = {name: {"value": value, "unit": "u"} for name, value in values.items()}
         return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}, 1
 
+    probes = []
+
+    def prober(root, workload, seed):
+        probes.append(("parent" if root == parent else "change", workload, seed))
+        return {"kmeans_calls": 50, "kmeans_converged": 50, "lloyd_iters": 758,
+                "failures": 0, "reports_sha256": "ab"}
+
     out = tmp_path / "bench.json"
     argv = ["--parent", "HEAD~1", "--workloads", "large_n", "--pairs", "4", "--seed", "7",
             "--out", str(out)]
-    assert pairs.main(argv, runner=runner, worktree=worktree) == 0
+    assert pairs.main(argv, runner=runner, worktree=worktree, prober=prober) == 0
+    assert probes == [("parent", "large_n", 7), ("change", "large_n", 7)]
     timed = [c for c in calls if c[3] == "0"]
     assert [(side, seed) for side, seed, _, _ in timed] == [
         ("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
@@ -60,3 +70,23 @@ def test_pairs_alternate_and_are_summarized_against_the_bounds(tmp_path):
     assert peak["change_wins"] == 0 and peak["worse_by"] == 0.2 and not peak["within_bound"]
     assert entry["metrics"]["setup_s"]["ties"] == 4
     assert set(entry["traced"]) == {"parent", "change"}
+    assert entry["outputs"]["parent"]["lloyd_iters"] == 758 and entry["outputs_match"]
+
+
+def test_outputs_that_differ_are_reported(tmp_path):
+    def runner(root, args):
+        metrics = {name: {"value": 1.0, "unit": "u"} for name in
+                   ("wall_s", "setup_s", "peak_rss_mb", *pairs.QUALITY)}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}, 1
+
+    def prober(root, workload, seed):
+        return {"reports_sha256": "ab" if workload == "desk" or root == ROOT else "cd"}
+
+    report = pairs.run_pairs(tmp_path, ROOT, ["desk", "large_n"], 1, 3, runner, prober)
+    assert report["desk"]["outputs_match"] and not report["large_n"]["outputs_match"]
+
+
+def test_probe_requires_no_parent():
+    with pytest.raises(SystemExit):
+        pairs._parse(["--workloads", "desk"])
+    assert pairs._parse(["--probe", str(ROOT), "--workloads", "desk"]).parent is None

@@ -3,9 +3,9 @@
     python3 tools/pairs.py --parent REV [--workloads desk,paper_net,large_n]
         [--pairs 10] [--seed 1] [--out BENCH.json]
 
-Checks out ``REV`` with ``git worktree add`` into a temporary directory
+Extracts ``REV`` with ``git archive`` into a temporary directory
 (local git only) and copies this checkout's ``bench/`` over the
-worktree's, so both sides run the same instrument against their own
+copy's, so both sides run the same instrument against their own
 ``src/``. For each workload, pair ``i`` runs
 
     python3 bench/run.py --workload W --seed SEED+i --seconds 1 --trace 0
@@ -21,13 +21,25 @@ whether that lies inside the metric's bound. It also records the
 rounds per process, whether the quality metrics are equal in every
 pair, each side's ``correct`` and ``failed``, the machine, and one
 ``--trace 1`` run per side and workload at ``--seed``, for the per-layer
-times and counts. The worktree is removed at the end.
+times and counts. The copy is removed at the end.
+
+The proof that both sides compute the same outputs: per side and
+workload, one round at ``--seed`` runs in a new interpreter, in process
+through that side's ``bench/workloads.py`` and ``src/``
+
+    python3 tools/pairs.py --probe ROOT --workloads W --seed SEED
+
+It records the K-means calls, the converged fits and the sum of
+``KMeansResult.iterations`` (read by wrapping ``harness.kmeans``), and a
+sha256 of the round's reports without ``wall_clock``. ``outputs_match``
+says whether the two sides' records are equal.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import platform
@@ -57,17 +69,64 @@ def run_bench(root: Path, args: list[str]) -> tuple[dict, int]:
 
 
 @contextlib.contextmanager
-def git_worktree(rev: str):
-    """A detached worktree of ``rev`` in a temporary directory."""
+def git_tree(rev: str):
+    """The files of ``rev``, extracted into a temporary directory."""
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         tree = Path(tmp) / "parent"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(tree), rev], check=True)
-        try:
-            yield tree
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
-                           check=False)
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        yield tree
+
+
+def probe(root: Path, workload: str, seed: int) -> dict:
+    """``tools/pairs.py --probe root``: one round's K-means counts and
+    report digest, from a new interpreter."""
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--probe", str(root),
+                           "--workloads", workload, "--seed", str(seed)],
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the probe of {workload} in {root} exited {proc.returncode}: "
+                           f"{proc.stderr.strip()}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def probe_round(root: Path, workload: str, seed: int) -> dict:
+    """One round of ``workload`` at ``seed``, in this process, through
+    ``root``'s ``bench/workloads.py`` and ``src/``."""
+    sys.path.insert(0, str(root / "bench"))
+    import env
+
+    env.pin_blas_threads()
+    env.use_checkout_src()
+    import workloads
+    from deepkm import harness
+
+    fits = []
+    kmeans = harness.kmeans
+
+    def counted(*args, **kwargs):
+        fits.append(kmeans(*args, **kwargs))
+        return fits[-1]
+
+    harness.kmeans = counted
+    spec = workloads.SPECS[workload]
+    with tempfile.TemporaryDirectory(prefix="probe-") as tmp:
+        workdir = Path(tmp)
+        workloads.prepare(spec, seed, workdir)
+        dataset = workloads.load(spec, seed, workdir)
+        suite = workloads.run_round(spec, dataset, workloads.seeds(spec, seed)[1],
+                                    workdir / "reports")
+    reports = [{key: value for key, value in report.to_json_dict().items() if key != "wall_clock"}
+               for report in suite.reports]
+    return {
+        "kmeans_calls": len(fits),
+        "kmeans_converged": sum(bool(fit.converged) for fit in fits),
+        "lloyd_iters": sum(fit.iterations for fit in fits),
+        "failures": len(suite.failures),
+        "reports_sha256": hashlib.sha256(json.dumps(reports).encode()).hexdigest(),
+    }
 
 
 def _resolve(rev: str) -> str:
@@ -127,8 +186,9 @@ def machine() -> dict:
 
 
 def run_pairs(parent: Path, change: Path, workloads: list[str], pairs: int, seed: int,
-              runner) -> dict:
-    """Every pair of every workload, then one traced run per side."""
+              runner, prober) -> dict:
+    """Every pair of every workload, then one traced run and one probe
+    per side."""
     bounds = {m["name"]: m for m in json.loads((change / "BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"parent": parent, "change": change}
     report = {}
@@ -159,18 +219,23 @@ def run_pairs(parent: Path, change: Path, workloads: list[str], pairs: int, seed
         }
         args = ["--workload", workload, "--seed", str(seed), "--seconds", "1", "--trace", "1"]
         entry["traced"] = {side: runner(sides[side], args)[0]["metrics"] for side in sides}
+        entry["outputs"] = {side: prober(sides[side], workload, seed) for side in sides}
+        entry["outputs_match"] = entry["outputs"]["parent"] == entry["outputs"]["change"]
         report[workload] = entry
     return report
 
 
 def _parse(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="the commit to compare against")
+    parser.add_argument("--parent", help="the commit to compare against")
+    parser.add_argument("--probe", type=Path, help=argparse.SUPPRESS)  # a side's root
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
+    if args.parent is None and args.probe is None:
+        parser.error("--parent is required")
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     if args.seed < 0:
@@ -178,14 +243,17 @@ def _parse(argv):
     return args
 
 
-def main(argv=None, runner=run_bench, worktree=git_worktree) -> int:
+def main(argv=None, runner=run_bench, worktree=git_tree, prober=probe) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     workloads = [w for w in args.workloads.split(",") if w]
+    if args.probe is not None:
+        print(json.dumps(probe_round(args.probe, workloads[0], args.seed)))
+        return 0
     with worktree(args.parent) as parent:
         shutil.rmtree(parent / "bench")
         shutil.copytree(ROOT / "bench", parent / "bench",
                         ignore=shutil.ignore_patterns("out", "__pycache__"))
-        report = run_pairs(parent, ROOT, workloads, args.pairs, args.seed, runner)
+        report = run_pairs(parent, ROOT, workloads, args.pairs, args.seed, runner, prober)
     out = {
         "parent": _resolve(args.parent),
         "command": "bench/run.py --workload W --seed S --seconds 1 --trace 0",
@@ -197,7 +265,8 @@ def main(argv=None, runner=run_bench, worktree=git_worktree) -> int:
     for workload, entry in report.items():
         print(f"{workload}: rounds parent {entry['rounds']['parent']} change "
               f"{entry['rounds']['change']}; quality equal in every pair: "
-              f"{entry['quality_equal_in_every_pair']}")
+              f"{entry['quality_equal_in_every_pair']}; outputs match at seed {args.seed}: "
+              f"{entry['outputs_match']} {entry['outputs']['change']}")
         for name, m in entry["metrics"].items():
             print(f"  {name:12s} {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "
                   f"{m['parent']['q3']:.4g}] -> {m['change']['median']:.4g} "
