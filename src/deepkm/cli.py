@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, concat_datasets, load_delimited, load_idx, loadtxt_rows, make_blobs
+from .data import Dataset, concat_datasets, load_delimited, load_idx, load_labels, make_blobs
 from .harness import (
     METHODS,
     RunReport,
@@ -369,42 +369,10 @@ def write_projection(path: Path, coords: np.ndarray, assignment: np.ndarray,
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _load_label_file(path: str) -> np.ndarray:
-    labels = loadtxt_rows(path, dtype=np.int64, ndmin=2)
-    if labels is not None and labels.shape[1] == 1:
-        return labels[:, 0]
-    return _parse_label_lines(path)
-
-
-def _parse_label_lines(path: str) -> np.ndarray:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                label = int(line)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not an integer label: {line!r}")
-            if not -(2**63) <= label < 2**63:
-                raise ValueError(f"{path}: line {lineno}: label {line!r} is beyond int64")
-            labels.append(label)
-    if not labels:
-        raise ValueError(f"{path}: no labels found")
-    return np.asarray(labels, dtype=np.int64)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
-    pred = _load_label_file(args.pred)
-    truth = _load_label_file(args.truth)
-    report = evaluate(pred, truth)
-    payload = {
-        "acc": float(report.acc),
-        "nmi": float(report.nmi),
-        "mapping": {str(k): int(v) for k, v in sorted(report.mapping.items())},
-        "n": int(pred.shape[0]),
-    }
+    pred = load_labels(args.pred)
+    truth = load_labels(args.truth)
+    payload = {**evaluate(pred, truth).to_json_dict(), "n": int(pred.shape[0])}
     text = json.dumps(payload, indent=2)
     print(text)
     if args.out:
@@ -435,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "project":  # before training, so a run it cannot project writes nothing
             dims = dataset.m if args.train.method == "km" else args.train.latent_dim
             _check_projectable((dataset.n, dims))
-    except (ValueError, OSError) as exc:
+    except Exception as exc:  # noqa: BLE001 - surface as exit status
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

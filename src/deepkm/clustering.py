@@ -10,9 +10,10 @@ Rows whose best and second-best centers lie within the screen's
 rounding bound of each other, and rows that could overflow, are
 recomputed with ``squared_distances``. So every label is the first
 minimum of the exact distances, the same bits the exact path alone
-gives. The screen runs over blocks of rows to bound its (rows, K)
-scratch; a block's product may round differently from the whole one,
-but the screen only routes rows, so no label changes.
+gives. One routine, ``_label``, runs the screen over blocks of rows to
+bound its (rows, K) scratch, for ``assign`` and for every labelling of
+``kmeans`` and ``lloyd_step``; a block's product may round differently
+from the whole one, but the screen only routes rows, so no label changes.
 
 ``kmeans`` runs its Lloyd steps in one loop that also keeps Hamerly's
 bounds ("Making k-means even faster", SDM 2010): per row, a lower bound
@@ -28,8 +29,8 @@ is at most 0), so a kept label is still the exact first minimum. Only
 labels feed the means, which sum each cluster's rows in index order, so
 every center, label, objective and iteration count is the one plain
 Lloyd steps give. After a repair moves a point to an empty cluster,
-every row is screened again. Where |x|^2 could overflow, no margin
-settles a row, and every row is screened at every step.
+every row is screened again. Where |x|^2 could overflow, no bounds are
+kept, and every row is screened at every step.
 
 The loop ends with one more labelling, of its final centers, with
 repairs, under the same bounds: a converged fit screens few rows there.
@@ -157,20 +158,24 @@ def _screen(points: np.ndarray, centers: np.ndarray, cc: np.ndarray,
     return labels
 
 
-def _block_rows(width: int) -> int:
-    """Rows per screen block whose widest scratch has ``width`` values a row."""
-    return max(1, _SCREEN_ELEMS // width)
-
-
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Bit for bit ``np.argmin(squared_distances(points, centers), axis=1)``,
-    without the (N, K, dim) differences for rows the screen settles."""
+def _label(points: np.ndarray, centers: np.ndarray, rows: np.ndarray,
+           labels: np.ndarray, gap: np.ndarray | None = None) -> None:
+    """Write the nearest-center labels of ``points[rows]`` to
+    ``labels[rows]``, screened over blocks of rows; given ``gap``, write
+    each row's bound from ``_screen`` to ``gap[rows]``."""
+    n, dim = points.shape
     cc = np.einsum("kd,kd->k", centers, centers)
-    labels = np.empty(points.shape[0], dtype=np.intp)
-    block = _block_rows(centers.shape[0])
-    for start in range(0, points.shape[0], block):
-        labels[start : start + block] = _screen(points[start : start + block], centers, cc)
-    return labels
+    block = max(1, _SCREEN_ELEMS // max(centers.shape[0], dim))  # rows are gathered: (rows, dim)
+    for start in range(0, rows.size, block):
+        # Repeated up to a power of two, so that a fit's scratch comes in
+        # few sizes: with every size, desk's resident peak read 1.6 MB
+        # higher. A repeated row gets the same label and bound.
+        part = rows[start : start + block]
+        part = np.resize(part, min(block, n, 1 << (part.size - 1).bit_length()))
+        fresh = None if gap is None else np.empty(part.size)
+        labels[part] = _screen(points[part], centers, cc, fresh)
+        if gap is not None:
+            gap[part] = fresh
 
 
 def _check_pair(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +192,10 @@ def _check_pair(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np
 
 def assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center per point; ties go to the lowest index."""
-    return _nearest(*_check_pair(points, centers))
+    points, centers = _check_pair(points, centers)
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    _label(points, centers, np.arange(points.shape[0]), labels)
+    return labels
 
 
 def kmeans_plus_plus_init(
@@ -309,35 +317,26 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float
     # margin below which the exact path's rounding of two squared
     # distances, ~2 gamma_{d+2} * 4 radius^2, could still swap their
     # order. The power of two covers gradual underflow. Past _HUGE / 4 a
-    # distance may overflow, and no margin settles a row.
+    # distance may overflow: no bounds are kept, and every row is screened.
     unit = 4 * (dim + 8) * _EPS * radius + 2.0**-500
-    settled = (4.0 * np.sqrt((dim + 4) * _EPS) * radius + unit
-               if sq_radius < _HUGE / 4 else np.inf)
+    settled = 4.0 * np.sqrt((dim + 4) * _EPS) * radius + unit
     labels = np.zeros(n, dtype=np.intp)
-    gap = np.full(n, -np.inf)  # a lower bound on each row's margin; -inf: screen it
-    moved = np.zeros(k)  # how far the last step can have shrunk the margin, per label
-    block = _block_rows(max(k, dim))  # its rows are gathered: (rows, dim)
+    # A lower bound on each row's margin; -inf: screen it.
+    gap = np.full(n, -np.inf) if sq_radius < _HUGE / 4 else None
+    rows = np.arange(n)
     converged = False
     iterations = 0
     while True:
-        cc = np.einsum("kd,kd->k", centers, centers)
-        gap -= moved[labels]
-        # A tie gives a margin <= 0, so it is always screened.
-        unsettled = np.flatnonzero(~(gap > settled))
-        for start in range(0, unsettled.size, block):
-            # Repeated up to a power of two, so that a fit's scratch comes
-            # in few sizes: with every size, desk's resident peak read
-            # 1.6 MB higher. A repeated row gets the same label and bound.
-            rows = unsettled[start : start + block]
-            rows = np.resize(rows, min(block, n, 1 << (rows.size - 1).bit_length()))
-            fresh = np.empty(rows.size)
-            labels[rows] = _screen(points[rows], centers, cc, fresh)
-            gap[rows] = fresh
+        if gap is not None:
+            # A tie gives a margin <= 0, so it is always screened.
+            rows = np.flatnonzero(~(gap > settled))
+        _label(points, centers, rows, labels, gap)
         counts = np.bincount(labels, minlength=k)
         repaired = centers
         if not counts.all():
             repaired = _repair(points, centers, labels, counts)
-            gap[:] = -np.inf  # donors keep no nearest-center bound
+            if gap is not None:
+                gap[:] = -np.inf  # donors keep no nearest-center bound
         if converged or iterations == max_iters:
             return repaired, labels, counts, iterations, converged
         new_centers = _means(points, labels, counts)
@@ -346,13 +345,16 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int, tol: float
         step = new_centers - centers
         converged = float(np.max(np.abs(step))) < tol
         centers = new_centers
-        # Hamerly's update: a row's own center comes nearer by at most its
-        # shift, every other center by at most the largest other shift.
-        norms = np.sqrt(np.einsum("kd,kd->k", step, step))
-        top = int(np.argmax(norms))
-        moved = np.full(k, norms[top])
-        moved[top] = np.max(np.delete(norms, top), initial=0.0)
-        moved += norms + unit
+        if gap is not None:
+            # Hamerly's update: a row's own center comes nearer by at most
+            # its shift, every other center by at most the largest other
+            # shift.
+            norms = np.sqrt(np.einsum("kd,kd->k", step, step))
+            top = int(np.argmax(norms))
+            moved = np.full(k, norms[top])
+            moved[top] = np.max(np.delete(norms, top), initial=0.0)
+            moved += norms + unit
+            gap -= moved[labels]
 
 
 def kmeans(

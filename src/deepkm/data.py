@@ -1,4 +1,5 @@
-"""Dataset ingestion: IDX image files, delimited numeric text, synthetic blobs.
+"""Dataset ingestion: IDX image files, delimited numeric text, label
+files, synthetic blobs.
 
 Feature matrices are float64, one row per sample, images flattened
 row-major. Image pixels are scaled to [0,1]; text data is left as-is
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import squared_distances
 from .nn import _integer, _real, _seed
 
 IDX_IMAGES_MAGIC = 0x00000803  # unsigned byte, rank 3
@@ -218,7 +220,8 @@ def load_delimited(
     """Parse a rectangular numeric table; optionally peel off a label column.
 
     Labels are read from ``label_column`` (negative indices count from
-    the end) and must be integers. Errors carry 1-based line numbers.
+    the end) and must be integers below 2^53 in magnitude, past which the
+    float64 table cannot keep them apart. Errors carry 1-based line numbers.
     ``minmax_scale`` rescales each feature to [0,1] (constant columns
     become 0). A single-character delimiter lets numpy's C reader parse
     the file; whatever it refuses goes through the per-line parser, which
@@ -231,9 +234,9 @@ def load_delimited(
         raise ValueError(f"skip_header must be >= 0, got {skip_header}")
     table = None
     if _c_reader_agrees(path, delimiter):
-        table = loadtxt_rows(path, delimiter=delimiter, skiprows=skip_header, ndmin=2)
+        table = _loadtxt_rows(path, delimiter=delimiter, skiprows=skip_header, ndmin=2)
     if table is None:
-        table = _parse_lines(path, delimiter, skip_header)
+        table = _parse_lines(path, delimiter, skip_header, float, np.float64)
     labels = None
     if label_column is not None:
         col = label_column if label_column >= 0 else table.shape[1] + label_column
@@ -241,7 +244,13 @@ def load_delimited(
             raise ValueError(
                 f"label column {label_column} out of range for {table.shape[1]} columns"
             )
-        labels = integer_labels(table[:, col], f"labels in {path} column {label_column}")
+        what = f"labels in {path} column {label_column}"
+        labels = integer_labels(table[:, col], what)
+        # Past 2^53 the float64 table has merged neighbouring integers.
+        inexact = np.flatnonzero(np.abs(table[:, col]) >= 2.0**53)
+        if inexact.size:
+            raise ValueError(f"{what} reach 2^53, past which float64 merges integers: "
+                             f"entry {inexact[0]} reads {labels[inexact[0]]}")
         table = _drop_column(table, col)
     if minmax_scale:
         lo = table.min(axis=0)
@@ -271,7 +280,7 @@ _UNSTRIPPED_BY_FLOAT = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _c_reader_agrees(path: str, delimiter: str) -> bool:
-    """Whether ``loadtxt_rows`` can only accept a table the per-line
+    """Whether ``_loadtxt_rows`` can only accept a table the per-line
     parser gives too: the delimiter is one character and the file holds
     none of the ASCII separators 0x1c-0x1f."""
     if not (isinstance(delimiter, str) and len(delimiter) == 1 and delimiter not in "\r\n"):
@@ -283,14 +292,14 @@ def _c_reader_agrees(path: str, delimiter: str) -> bool:
     return True
 
 
-def loadtxt_rows(path: str, **kwargs) -> np.ndarray | None:
+def _loadtxt_rows(path: str, **kwargs) -> np.ndarray | None:
     """``np.loadtxt`` of a utf-8 text file, parsed in C without a Python
     object per cell; None if it refuses the file or finds no rows.
 
-    Callers then run their per-line parser: it accepts what loadtxt
-    refuses (whitespace-only lines, ``1_0``, Unicode digits) and raises
-    the errors, with 1-based line numbers. The file goes in as a handle,
-    so a ``.gz`` path is not decompressed, as by the per-line parsers.
+    Callers then run ``_parse_lines``: it accepts what loadtxt refuses
+    (whitespace-only lines, ``1_0``, Unicode digits) and raises the
+    errors, with 1-based line numbers. The file goes in as a handle, so a
+    ``.gz`` path is not decompressed, as by ``_parse_lines``.
     """
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -301,8 +310,11 @@ def loadtxt_rows(path: str, **kwargs) -> np.ndarray | None:
     return table if table.shape[0] else None
 
 
-def _parse_lines(path: str, delimiter: str, skip_header: int) -> np.ndarray:
-    rows: list[list[float]] = []
+def _parse_lines(path: str, delimiter: str, skip_header: int, convert, dtype) -> np.ndarray:
+    """The stripped, non-blank lines past ``skip_header``, split at
+    ``delimiter``, as a ``dtype`` table of ``convert`` of each cell. A
+    ValueError names the path and the 1-based line."""
+    rows: list[list] = []
     width: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -319,12 +331,35 @@ def _parse_lines(path: str, delimiter: str, skip_header: int) -> np.ndarray:
                     f"{path}: line {lineno} has {len(cells)} fields, expected {width}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                rows.append([convert(c) for c in cells])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=dtype)
+
+
+def _label_cell(cell: str) -> int:
+    try:
+        label = int(cell)
+    except ValueError:
+        raise ValueError(f"not an integer label: {cell!r}") from None
+    if not -(2**63) <= label < 2**63:
+        raise ValueError(f"label {cell!r} is beyond int64")
+    return label
+
+
+def load_labels(path: str) -> np.ndarray:
+    """int64 labels, one per line, as ``deepkm eval`` reads them: numpy's
+    C reader first, then, for whatever it refuses or reads as more than
+    one column, the per-line parser, which decides what is accepted
+    (blank lines, ``1_0``, Unicode digits) and names the line of an
+    error."""
+    labels = _loadtxt_rows(path, dtype=np.int64, ndmin=2)
+    if labels is None or labels.shape[1] != 1:
+        # A stripped line holds no newline, so each line is one cell.
+        labels = _parse_lines(path, "\n", 0, _label_cell, np.int64)
+    return labels[:, 0]
 
 
 def make_blobs(
@@ -349,8 +384,7 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((k, dim))
     if k > 1:
-        diff = centers[:, None, :] - centers[None, :, :]
-        dists = np.sqrt(np.einsum("ijd,ijd->ij", diff, diff))
+        dists = np.sqrt(squared_distances(centers, centers))
         closest = dists[np.triu_indices(k, 1)].min()
         if closest <= 0.0:
             raise ValueError("degenerate random centers; try another seed")

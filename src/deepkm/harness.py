@@ -166,13 +166,7 @@ class RunReport:
             "clustering_losses": [float(v) for v in self.clustering_losses],
             "assignment": [int(v) for v in self.assignment],
             "centroids": [[float(v) for v in row] for row in self.centroids],
-            "metrics": None
-            if self.metrics is None
-            else {
-                "acc": float(self.metrics.acc),
-                "nmi": float(self.metrics.nmi),
-                "mapping": {str(k): int(v) for k, v in sorted(self.metrics.mapping.items())},
-            },
+            "metrics": None if self.metrics is None else self.metrics.to_json_dict(),
             "wall_clock": float(self.wall_clock),
         }
 

@@ -40,6 +40,14 @@ class MetricsReport:
     nmi: float
     mapping: dict[int, int]  # predicted cluster id -> matched true label
 
+    def to_json_dict(self) -> dict:
+        """Plain-python form, the mapping in ascending cluster order."""
+        return {
+            "acc": float(self.acc),
+            "nmi": float(self.nmi),
+            "mapping": {str(k): int(v) for k, v in sorted(self.mapping.items())},
+        }
+
 
 def _check_labels(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     pred = integer_labels(pred, "predicted labels")
@@ -62,6 +70,11 @@ def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     pred, truth = _check_labels(pred, truth)
     kp = int(pred.max()) + 1
     kt = int(truth.max()) + 1
+    if kp * kt > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"label ids too large to tabulate: predicted id {kp - 1} and true label "
+            f"{kt - 1} need a table of {kp} x {kt} cells, beyond int64"
+        )
     return np.bincount(pred * kt + truth, minlength=kp * kt).reshape(kp, kt)
 
 

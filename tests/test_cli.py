@@ -1,15 +1,13 @@
 """Argument resolution, dataset specs, emission formats, projections."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
+from deepkm import cli
 from deepkm.cli import (
     SUITE_HEADER,
-    _load_label_file,
-    _parse_label_lines,
     emit_report,
     main,
     parse_cli,
@@ -389,6 +387,29 @@ class TestMainEndToEnd:
             f"error: {pred}: line 2: label '99999999999999999999' is beyond int64\n"
         )
 
+    def test_eval_ids_too_large_to_tabulate_fail_cleanly(self, tmp_path, capsys):
+        pred = tmp_path / "pred.txt"
+        truth = tmp_path / "truth.txt"
+        pred.write_text("0\n4611686018427387904\n")
+        truth.write_text("0\n1\n")
+        code = main(["eval", "--pred", str(pred), "--truth", str(truth)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: label ids too large to tabulate: predicted id 4611686018427387904 and "
+            "true label 1 need a table of 4611686018427387905 x 2 cells, beyond int64\n"
+        )
+
+    def test_eval_any_scoring_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # such as the MemoryError of a padded square too large to allocate
+        def fail(pred, truth):
+            raise MemoryError("Unable to allocate 71.1 PiB")
+
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        monkeypatch.setattr(cli, "evaluate", fail)
+        labels = str(tmp_path / "labels.txt")
+        assert main(["eval", "--pred", labels, "--truth", labels]) == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 71.1 PiB\n"
+
     def test_project_writes_coordinates(self, tmp_path, capsys):
         code = main([
             "project", "--dataset", "blobs:n=10,k=2,dim=3,seed=0",
@@ -511,40 +532,3 @@ class TestMainEndToEnd:
         target = tmp_path / "a" / "b"
         assert resolve_out_dir(str(target)) == target
         assert target.is_dir()
-
-
-def _label_outcome(load, path):
-    try:
-        labels = load(path)
-        return ("labels", labels.dtype, labels.tolist())
-    except ValueError as exc:
-        return ("error", str(exc))
-
-
-_EDGE_LABEL_FILES = {
-    "plain": "0\n1\n2\n",
-    "integral float": "0\n3.0\n",
-    "underscore digits": "1_0\n2\n",
-    "padded ints": " 3 \n007\n+2\n-0\n\t4\t\n",
-    "int64 ends": "9223372036854775807\n-9223372036854775808\n",
-    "beyond int64": "1\n99999999999999999999\n",
-    "just beyond int64": "9223372036854775808\n",
-    "blank lines": "1\n\n  \n2\n\n",
-    "empty file": "",
-    "two per line": "1 2\n3 4\n",
-    "one row of three": "1 2 3\n",
-    "unicode digit": "\uff13\n",
-    "word": "0\nbanana\n",
-}
-
-
-@pytest.mark.parametrize("case", sorted(_EDGE_LABEL_FILES))
-def test_label_file_loader_equals_the_per_line_parser(case, tmp_path):
-    path = tmp_path / "labels.txt"
-    path.write_text(_EDGE_LABEL_FILES[case])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _label_outcome(_load_label_file, path)
-    assert got == _label_outcome(_parse_label_lines, path)
-    if got[0] == "labels":
-        assert got[1] == np.int64

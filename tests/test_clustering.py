@@ -1,11 +1,12 @@
+import linecache
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import deepkm.clustering as clustering
 from deepkm.clustering import (
-    _nearest,
     assign,
     kmeans,
     kmeans_plus_plus_init,
@@ -510,13 +511,31 @@ class TestExactScreen:
     """The screened labelling gives the exact path's bits."""
 
     @pytest.mark.parametrize("make", SCREEN_CASES, ids=lambda f: f.__name__.strip("_"))
-    def test_nearest_and_assign_match_exact_argmin(self, make):
+    def test_assign_matches_exact_argmin(self, make):
         for seed in range(5):
             points, centers = make(np.random.default_rng(seed))
             with np.errstate(over="ignore", invalid="ignore"):
                 want = ref_nearest(points, centers)
-                np.testing.assert_array_equal(_nearest(points, centers), want)
                 np.testing.assert_array_equal(assign(points, centers), want)
+
+    def test_assign_past_one_screen_block_matches_exact_argmin(self, monkeypatch):
+        # 16384 // 8 = 2048 rows a block: a full block, then 952 rows
+        # repeated up to 1024
+        rng = np.random.default_rng(4)
+        centers = rng.standard_normal((8, 3))
+        points = centers[rng.integers(0, 8, 3000)] + 0.5 * rng.standard_normal((3000, 3))
+        blocks = []
+        screen = clustering._screen
+
+        def spy(rows, *args):
+            blocks.append(len(rows))
+            return screen(rows, *args)
+
+        monkeypatch.setattr(clustering, "_screen", spy)
+        labels = assign(points, centers)
+        assert blocks == [2048, 1024]
+        assert labels.dtype == np.intp
+        np.testing.assert_array_equal(labels, ref_nearest(points, centers))
 
     @pytest.mark.parametrize("make", SCREEN_CASES, ids=lambda f: f.__name__.strip("_"))
     def test_lloyd_step_matches_add_at_reference(self, make):
@@ -537,7 +556,7 @@ class TestExactScreen:
             return real(p, c)
 
         monkeypatch.setattr(clustering, "squared_distances", spy)
-        labels = _nearest(points, centers)
+        labels = assign(points, centers)
         monkeypatch.undo()
         assert len(seen) == 1 and np.array_equal(seen[0], points[[37]])
         assert labels[37] == 0
@@ -634,6 +653,24 @@ class TestExactScreen:
             for max_iters in (0, 1):
                 for k in (1, 2, 5, len(points)):
                     assert_same_fit(points, k, seed=k, max_iters=max_iters)
+
+    def test_overflow_scale_keeps_no_bounds(self):
+        # Only the screen's product and its thresholds may warn; its bound
+        # lines and the loop's bound upkeep do not run at this scale.
+        points = 1e154 * np.random.default_rng(0).standard_normal((200, 6))
+        allowed = {
+            "s = (-2.0 * centers) @ points.T", "s += cc[:, None]",
+            "scale = xx + cc.max()", "tau = 4 * (dim + 4) * _EPS * scale + _TINY",
+            "close = ~(s > best + 2.0 * tau)",
+        }
+        for k in (1, 2, 5):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                kmeans(points, k, 0)
+            sources = {linecache.getline(w.filename, w.lineno).strip() for w in caught}
+            assert sources <= allowed
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert_same_fit(points, k, 0)
 
     def test_rows_changing_late_match_reference(self, monkeypatch):
         points, _ = _late_churn(np.random.default_rng(0))

@@ -19,6 +19,7 @@ from deepkm.data import (
     integer_labels,
     load_delimited,
     load_idx,
+    load_labels,
     make_blobs,
     save_idx,
 )
@@ -341,6 +342,19 @@ class TestLoadDelimited:
         with pytest.raises(ValueError, match="column -1 beyond int64: entry 1 is 1e\\+19"):
             load_delimited(p, label_column=-1)
 
+    def test_label_at_2_to_the_53_is_refused_not_merged(self, tmp_path):
+        # both entries read as 9007199254740992 through the float64 table
+        p = tmp_path / "t.csv"
+        p.write_text("0.5,9007199254740993\n0.25,9007199254740992\n")
+        message = f"labels in {p} column -1 reach 2^53, past which float64 merges integers: "
+        with pytest.raises(ValueError, match=re.escape(message + "entry 0 reads 9007199254740992")):
+            load_delimited(p, label_column=-1)
+        p.write_text("0.5,1\n0.25,-9007199254740992\n")
+        with pytest.raises(ValueError, match=re.escape(message + "entry 1 reads -9007199254740992")):
+            load_delimited(p, label_column=-1)
+        p.write_text("0.5,9007199254740991\n0.25,0\n")
+        assert load_delimited(p, label_column=-1).labels.tolist() == [2**53 - 1, 0]
+
     def test_peak_memory_is_about_two_tables(self, tmp_path):
         # numpy's reader fills the table with no Python float per cell;
         # peeling the label column off copies the features once.
@@ -469,7 +483,7 @@ class TestParsersAgree:
         path = tmp_path / "t.csv"
         path.write_bytes(raw)
         got = _load_outcome(path, **kwargs)
-        monkeypatch.setattr(data, "loadtxt_rows", lambda *args, **kw: None)
+        monkeypatch.setattr(data, "_loadtxt_rows", lambda *args, **kw: None)
         assert got == _load_outcome(path, **kwargs)
 
     @pytest.mark.parametrize("case", sorted(_EDGE_TABLES))
@@ -480,9 +494,9 @@ class TestParsersAgree:
         delimiter, skip = kwargs.get("delimiter", ","), kwargs.get("skip_header", 0)
         if not data._c_reader_agrees(path, delimiter):
             return
-        fast = data.loadtxt_rows(path, delimiter=delimiter, skiprows=skip, ndmin=2)
+        fast = data._loadtxt_rows(path, delimiter=delimiter, skiprows=skip, ndmin=2)
         if fast is not None:
-            slow = data._parse_lines(path, delimiter, skip)
+            slow = data._parse_lines(path, delimiter, skip, float, np.float64)
             assert (fast.shape, fast.tobytes()) == (slow.shape, slow.tobytes())
 
     def test_gzip_file_fails_as_before(self, tmp_path, monkeypatch):
@@ -490,7 +504,7 @@ class TestParsersAgree:
         path.write_bytes(gzip.compress(b"1,2\n3,4\n"))
         got = _load_outcome(path)
         assert got[:2] == ("error", "UnicodeDecodeError")
-        monkeypatch.setattr(data, "loadtxt_rows", lambda *args, **kw: None)
+        monkeypatch.setattr(data, "_loadtxt_rows", lambda *args, **kw: None)
         assert got == _load_outcome(path)
 
     @settings(max_examples=60, deadline=None,
@@ -506,7 +520,57 @@ class TestParsersAgree:
         want = np.array(rows, dtype=np.float64)
         got = load_delimited(path).features
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
-        assert got.tobytes() == data._parse_lines(path, ",", 0).tobytes()
+        assert got.tobytes() == data._parse_lines(path, ",", 0, float, np.float64).tobytes()
+
+
+def _label_outcome(path):
+    """What load_labels makes of a file, "PATH" standing for its path."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            labels = load_labels(path)
+            return ("labels", labels.dtype, labels.tolist())
+        except ValueError as exc:
+            return ("error", str(exc).replace(str(path), "PATH"))
+
+
+_INT64 = np.dtype(np.int64)
+
+# Label file -> outcome, each as the command line's own reader gave it
+# before label files moved to load_labels, but for the empty file's message.
+_EDGE_LABEL_FILES = {
+    "plain": ("0\n1\n2\n", ("labels", _INT64, [0, 1, 2])),
+    "integral float": ("0\n3.0\n", ("error", "PATH: line 2: not an integer label: '3.0'")),
+    "underscore digits": ("1_0\n2\n", ("labels", _INT64, [10, 2])),
+    "padded ints": (" 3 \n007\n+2\n-0\n\t4\t\n", ("labels", _INT64, [3, 7, 2, 0, 4])),
+    "int64 ends": ("9223372036854775807\n-9223372036854775808\n",
+                   ("labels", _INT64, [2**63 - 1, -(2**63)])),
+    "beyond int64": ("1\n99999999999999999999\n",
+                     ("error", "PATH: line 2: label '99999999999999999999' is beyond int64")),
+    "just beyond int64": ("9223372036854775808\n",
+                          ("error", "PATH: line 1: label '9223372036854775808' is beyond int64")),
+    "blank lines": ("1\n\n  \n2\n\n", ("labels", _INT64, [1, 2])),
+    "empty file": ("", ("error", "PATH: no data rows")),
+    "two per line": ("1 2\n3 4\n", ("error", "PATH: line 1: not an integer label: '1 2'")),
+    "one row of three": ("1 2 3\n", ("error", "PATH: line 1: not an integer label: '1 2 3'")),
+    "comma pair": ("1,2\n3,4\n", ("error", "PATH: line 1: not an integer label: '1,2'")),
+    "ascii separator": ("1\x1c2\n3\n",
+                        ("error", "PATH: line 1: not an integer label: '1\\x1c2'")),
+    "ascii separators around": ("\x1c5\x1f\n6\n", ("labels", _INT64, [5, 6])),
+    "trailing spaces": ("1  \n2 \t \n", ("labels", _INT64, [1, 2])),
+    "unicode digit": ("\uff13\n", ("labels", _INT64, [3])),
+    "word": ("0\nbanana\n", ("error", "PATH: line 2: not an integer label: 'banana'")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_LABEL_FILES))
+def test_label_file_loader_equals_the_per_line_parser(case, tmp_path, monkeypatch):
+    text, want = _EDGE_LABEL_FILES[case]
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    assert _label_outcome(path) == want
+    monkeypatch.setattr(data, "_loadtxt_rows", lambda *args, **kw: None)
+    assert _label_outcome(path) == want
 
 
 class TestConcat:

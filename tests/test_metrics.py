@@ -71,6 +71,18 @@ class TestContingency:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("pred, truth, cells", [
+        ([0, 2**62], [0, 1], f"{2**62 + 1} x 2"),
+        ([0, 1], [2**63 - 1, 0], f"2 x {2**63}"),
+        ([2**32, 0], [0, 2**31], f"{2**32 + 1} x {2**31 + 1}"),
+    ])
+    def test_tables_past_int64_are_refused_naming_the_ids(self, pred, truth, cells):
+        message = (f"label ids too large to tabulate: predicted id {max(pred)} and true "
+                   f"label {max(truth)} need a table of {cells} cells, beyond int64")
+        for score in (contingency_table, evaluate):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                score(pred, truth)
+
 
 class TestHungarian:
     def test_two_by_two(self):
@@ -317,3 +329,10 @@ class TestEvaluate:
             assert report.acc.hex() == acc.hex()
             assert report.nmi.hex() == metrics._nmi(counts).hex()
             assert report.mapping == mapping
+
+    def test_json_form_is_plain_python_in_cluster_order(self):
+        report = MetricsReport(acc=np.float64(0.5), nmi=0.25, mapping={2: np.int64(0), 0: 1})
+        got = report.to_json_dict()
+        assert got == {"acc": 0.5, "nmi": 0.25, "mapping": {"0": 1, "2": 0}}
+        assert list(got["mapping"]) == ["0", "2"]
+        assert type(got["acc"]) is float and type(got["mapping"]["2"]) is int
